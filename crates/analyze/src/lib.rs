@@ -42,7 +42,8 @@ pub fn run(root: &Path, baseline_text: Option<&str>) -> Result<Outcome, String> 
         Some(text) => baseline::parse(text)?,
         None => Vec::new(),
     };
-    let findings = workspace::lint_tree(root).map_err(|e| format!("{}: {e}", root.display()))?;
+    let (findings, files_scanned) =
+        workspace::lint_tree(root).map_err(|e| format!("{}: {e}", root.display()))?;
     let reported = findings
         .into_iter()
         .map(|finding| {
@@ -50,5 +51,8 @@ pub fn run(root: &Path, baseline_text: Option<&str>) -> Result<Outcome, String> 
             Reported { finding, baselined }
         })
         .collect();
-    Ok(Outcome { reported })
+    Ok(Outcome {
+        reported,
+        files_scanned,
+    })
 }

@@ -18,6 +18,8 @@ pub struct Reported {
 #[derive(Debug, Clone, Default)]
 pub struct Outcome {
     pub reported: Vec<Reported>,
+    /// Files the rules ran over, with or without findings.
+    pub files_scanned: usize,
 }
 
 impl Outcome {
@@ -53,11 +55,12 @@ impl Outcome {
             .map(|r| r.finding.path.as_str())
             .collect();
         out.push_str(&format!(
-            "asm lint: {} finding(s) ({} new, {} baselined) in {} file(s)\n",
+            "asm lint: {} finding(s) ({} new, {} baselined) in {} of {} file(s)\n",
             self.total(),
             self.new_count(),
             self.baselined_count(),
-            files.len()
+            files.len(),
+            self.files_scanned
         ));
         out
     }
@@ -122,6 +125,7 @@ mod tests {
                     baselined: false,
                 },
             ],
+            files_scanned: 57,
         }
     }
 
@@ -132,7 +136,7 @@ mod tests {
         let h = o.human();
         assert!(h.contains("a.rs:3: [no-wall-clock] clock (baselined)"));
         assert!(h.contains("b.rs:9: [checked-cast] cast\n"));
-        assert!(h.contains("2 finding(s) (1 new, 1 baselined) in 2 file(s)"));
+        assert!(h.contains("2 finding(s) (1 new, 1 baselined) in 2 of 57 file(s)"));
     }
 
     #[test]

@@ -88,9 +88,13 @@ pub fn rules_for(rel: &str) -> Option<RuleSet> {
     if rel.starts_with("src/") {
         return Some(RuleSet::deterministic());
     }
-    // The CLI and bench harness legitimately read clocks (they *measure*),
-    // but must still seed RNGs explicitly and justify unsafe.
-    if rel.starts_with("crates/cli/") || rel.starts_with("crates/bench/") {
+    // The CLI and the bench harnesses (`smin-bench` and the standalone
+    // `perfbench` workspace) legitimately read clocks (they *measure*), but
+    // must still seed RNGs explicitly and justify unsafe.
+    if rel.starts_with("crates/cli/")
+        || rel.starts_with("crates/bench/")
+        || rel.starts_with("perfbench/")
+    {
         return Some(RuleSet {
             ambient_rng: true,
             safety_comment: true,
@@ -132,10 +136,11 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Lints every in-scope `.rs` file under `root`; findings are sorted by
-/// (path, line, rule).
-pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
+/// Lints every in-scope `.rs` file under `root`. Returns the findings,
+/// sorted by (path, line, rule), and the number of files scanned.
+pub fn lint_tree(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
     let mut findings = Vec::new();
+    let mut scanned = 0usize;
     for path in collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
@@ -150,9 +155,10 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
         }
         let source = fs::read_to_string(&path)?;
         findings.extend(lint_source(&rel, &source, &rules));
+        scanned += 1;
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(findings)
+    Ok((findings, scanned))
 }
 
 #[cfg(test)]
@@ -165,6 +171,10 @@ mod tests {
         assert!(rules_for("crates/service/tests/service_api.rs").is_none());
         assert!(rules_for("crates/bench/benches/trim_round.rs").is_none());
         assert!(rules_for("examples/quickstart.rs").is_none());
+
+        let perfbench = rules_for("perfbench/src/select.rs").unwrap();
+        assert!(perfbench.ambient_rng && perfbench.safety_comment);
+        assert!(!perfbench.panic_in_request_path && !perfbench.wall_clock);
 
         let svc = rules_for("crates/service/src/routes.rs").unwrap();
         assert!(svc.panic_in_request_path && svc.hash_iteration);

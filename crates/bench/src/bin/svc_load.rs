@@ -17,8 +17,8 @@
 //!
 //! * `--connections N` opens N keep-alive connections and holds **all of
 //!   them open at once** while pinging `/healthz` on each — the epoll
-//!   event loop's whole point (the threaded transport pins one worker per
-//!   connection and would wedge long before N = 512 on 4 threads). Any
+//!   event loop's whole point: an open connection costs a slab slot, not
+//!   a worker thread, so N = 512 is served by 4 dispatch threads. Any
 //!   connect or ping failure exits non-zero.
 //! * `--batch K` measures the `/v1/select-batch` amortization: the same
 //!   uncached selections fired one-per-request and then K-per-batch, on a

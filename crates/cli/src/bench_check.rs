@@ -144,9 +144,12 @@ pub fn compare(baseline: &Value, current: &Value, tol: f64) -> CheckReport {
     report
 }
 
+/// Flags `asm bench-check` accepts.
+pub const BENCH_CHECK_FLAGS: &[&str] = &["baseline", "current", "tol"];
+
 /// `asm bench-check --baseline FILE --current FILE [--tol F]`
 pub fn bench_check(args: &[String]) -> Result<(), String> {
-    let f = crate::flags::Flags::parse(args)?;
+    let f = crate::flags::Flags::parse(args, BENCH_CHECK_FLAGS)?;
     let baseline_path = f.require("baseline")?;
     let current_path = f.require("current")?;
     let tol: f64 = f.get_or("tol", 0.25)?;

@@ -13,19 +13,17 @@ use smin_graph::generators::{
 use smin_graph::{io, store, Graph, WeightModel};
 
 /// Loads a graph of any supported format. Dispatch is by content sniffing
-/// (`io::load_auto`), so `.smg` snapshots, legacy binaries, and text edge
-/// lists all load regardless of what the file is named.
+/// (`io::load_auto`), so `.smg` snapshots and text edge lists both load
+/// regardless of what the file is named.
 fn load_graph(path: &str) -> Result<Graph, String> {
     io::load_auto(path, 1.0).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Saves a graph by extension: `.smg` = CSR snapshot, `.bin` = legacy
-/// binary, anything else = text edge list.
+/// Saves a graph by extension: `.smg` = CSR snapshot, anything else = text
+/// edge list.
 fn save_graph(g: &Graph, path: &str) -> Result<(), String> {
     if path.ends_with(".smg") {
         store::write_smg_path(g, path).map_err(|e| format!("{path}: {e}"))
-    } else if path.ends_with(".bin") {
-        io::write_binary_path(g, path).map_err(|e| format!("{path}: {e}"))
     } else {
         let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
         io::write_edge_list(g, std::io::BufWriter::new(file)).map_err(|e| format!("{path}: {e}"))
@@ -51,9 +49,14 @@ fn parse_weights(spec: &str) -> Result<WeightModel, String> {
     }
 }
 
+/// Flags `asm generate` accepts.
+pub const GENERATE_FLAGS: &[&str] = &[
+    "kind", "n", "m", "gamma", "attach", "k", "beta", "weights", "seed", "out",
+];
+
 /// `asm generate`
 pub fn generate(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, GENERATE_FLAGS)?;
     let kind = f.require("kind")?;
     let n: usize = f.get_parsed("n")?.ok_or("missing required --n")?;
     let seed: u64 = f.get_or("seed", 42)?;
@@ -94,7 +97,7 @@ pub fn generate(args: &[String]) -> Result<(), String> {
 
 /// `asm stats`
 pub fn stats(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let path = f.positional.first().ok_or("usage: asm stats <GRAPH>")?;
     let g = load_graph(path)?;
     let wcc = weakly_connected_components(&g);
@@ -124,9 +127,15 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Flags `asm run` accepts.
+pub const RUN_FLAGS: &[&str] = &[
+    "graph", "algo", "batch", "eta", "eta-frac", "model", "eps", "seed", "worlds", "threads",
+    "audit",
+];
+
 /// `asm run`
 pub fn run(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, RUN_FLAGS)?;
     let g = load_graph(f.require("graph")?)?;
     let algo = f.require("algo")?;
     let model: Model = f
@@ -270,11 +279,22 @@ pub fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Flags `asm serve` accepts.
+pub const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "graphs-dir",
+    "state-dir",
+    "threads",
+    "cache",
+    "max-pending",
+    "trace-log",
+];
+
 /// `asm serve` — the long-running seed-selection service (see
 /// `smin-service`). Blocks forever; graphs are registered and selections
 /// requested over the HTTP API.
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, SERVE_FLAGS)?;
     let addr = f.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let workers: usize = match f.get_parsed("threads")? {
         Some(0) => return Err("--threads must be at least 1".into()),
@@ -294,7 +314,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let cache_capacity: usize = f.get_or("cache", 1024)?;
     // Durable registry root: created on first use, restored on every boot.
     let state_dir = f.get("state-dir").map(std::path::PathBuf::from);
-    let transport = smin_service::Transport::parse(f.get("transport").unwrap_or("auto"))?;
     let max_pending: usize = f.get_or("max-pending", 1024)?;
     // Structured observability: one JSON line per request, written off the
     // request path by a dedicated log thread.
@@ -306,7 +325,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         graphs_dir: graphs_dir.clone(),
         state_dir: state_dir.clone(),
         cache_capacity,
-        transport,
         max_pending,
         trace_log: trace_log.clone(),
         ..smin_service::ServerConfig::default()
@@ -315,8 +333,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         smin_service::Server::bind(&config).map_err(|e| format!("{}: {e}", config.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     println!(
-        "asm serve: listening on http://{addr} ({workers} workers, transport: {:?}, graphs dir: {}, state dir: {}, cache: {cache_capacity}, max pending: {max_pending}, trace log: {})",
-        server.resolved_transport(),
+        "asm serve: listening on http://{addr} ({workers} workers, graphs dir: {}, state dir: {}, cache: {cache_capacity}, max pending: {max_pending}, trace log: {})",
         graphs_dir
             .as_deref()
             .map_or("disabled".to_string(), |p| p.display().to_string()),
@@ -332,30 +349,18 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     server.run(&NEVER_STOP).map_err(|e| e.to_string())
 }
 
+/// Flags `asm lint` accepts, and its valueless switches.
+pub const LINT_FLAGS: &[&str] = &["root", "format", "baseline"];
+pub const LINT_SWITCHES: &[&str] = &["no-baseline", "write-baseline"];
+
 /// `asm lint` — the workspace determinism/robustness static-analysis pass
 /// (see `smin-analyze`). Exit is non-zero exactly when *new* (non-baseline)
 /// findings exist, so CI gates on regressions while grandfathered debt is
 /// paid down incrementally.
 pub fn lint(args: &[String]) -> Result<(), String> {
-    // Valueless switches, split off before the `--key value` parser runs.
-    let mut no_baseline = false;
-    let mut write_baseline = false;
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| match a.as_str() {
-            "--no-baseline" => {
-                no_baseline = true;
-                false
-            }
-            "--write-baseline" => {
-                write_baseline = true;
-                false
-            }
-            _ => true,
-        })
-        .cloned()
-        .collect();
-    let f = Flags::parse(&rest)?;
+    let f = Flags::parse_with_switches(args, LINT_FLAGS, LINT_SWITCHES)?;
+    let no_baseline = f.switch("no-baseline");
+    let write_baseline = f.switch("write-baseline");
     let root = std::path::PathBuf::from(f.get("root").unwrap_or("."));
     if !root.is_dir() {
         return Err(format!("--root {}: not a directory", root.display()));
@@ -413,7 +418,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
 
 /// `asm pack` — encode any loadable graph as a `.smg` CSR snapshot.
 pub fn pack(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let [input, output] = f.positional.as_slice() else {
         return Err("usage: asm pack <GRAPH> <OUT.smg>".into());
     };
@@ -430,7 +435,7 @@ pub fn pack(args: &[String]) -> Result<(), String> {
 
 /// `asm inspect` — dump a `.smg` snapshot header without decoding columns.
 pub fn inspect(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let [path] = f.positional.as_slice() else {
         return Err("usage: asm inspect <FILE.smg>".into());
     };
@@ -459,7 +464,7 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
 
 /// `asm convert`
 pub fn convert(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let [input, output] = f.positional.as_slice() else {
         return Err("usage: asm convert <IN> <OUT>".into());
     };
@@ -493,7 +498,7 @@ mod tests {
     fn generate_stats_run_roundtrip() {
         let dir = std::env::temp_dir().join("smin_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin");
+        let path = dir.join("g.smg");
         let path = path.to_str().unwrap().to_string();
 
         let args: Vec<String> = [
@@ -537,7 +542,7 @@ mod tests {
     fn run_audit_writes_replayable_logs() {
         let dir = std::env::temp_dir().join("smin_cli_audit");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin");
+        let path = dir.join("g.smg");
         let path = path.to_str().unwrap().to_string();
         let args: Vec<String> = ["--kind", "er", "--n", "80", "--m", "240", "--out", &path]
             .iter()
@@ -629,8 +634,9 @@ mod tests {
         assert!(err.contains("--graphs-dir"), "got: {err}");
         let err = serve(&to_args(&["--addr", "definitely:not:an:addr"])).unwrap_err();
         assert!(err.contains("definitely"), "got: {err}");
-        let err = serve(&to_args(&["--transport", "uring"])).unwrap_err();
-        assert!(err.contains("uring"), "got: {err}");
+        // The transport is not configurable: the flag is unknown.
+        let err = serve(&to_args(&["--transport", "epoll"])).unwrap_err();
+        assert!(err.contains("--transport"), "got: {err}");
         let err = serve(&to_args(&[
             "--addr",
             "127.0.0.1:0",
@@ -645,7 +651,7 @@ mod tests {
     fn run_rejects_zero_threads() {
         let dir = std::env::temp_dir().join("smin_cli_test3");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g3.bin");
+        let path = dir.join("g3.smg");
         let path = path.to_str().unwrap().to_string();
         let args: Vec<String> = ["--kind", "er", "--n", "50", "--m", "100", "--out", &path]
             .iter()
@@ -673,7 +679,7 @@ mod tests {
     fn run_rejects_conflicting_eta() {
         let dir = std::env::temp_dir().join("smin_cli_test2");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g2.bin");
+        let path = dir.join("g2.smg");
         let path = path.to_str().unwrap().to_string();
         let args: Vec<String> = ["--kind", "er", "--n", "50", "--m", "100", "--out", &path]
             .iter()

@@ -2,28 +2,63 @@
 
 use std::collections::HashMap;
 
-/// Parsed `--key value` flags plus positional arguments.
+/// Parsed `--key value` flags, valueless `--switch`es, and positional
+/// arguments.
 #[derive(Debug, Default)]
 pub struct Flags {
     values: HashMap<String, String>,
+    switches: Vec<String>,
     pub positional: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `args`; every `--key` consumes the following token as value.
-    pub fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parses `args` for a subcommand taking the `--key value` flags named
+    /// in `accepted` (names without the leading `--`). Any other `--key` is
+    /// an error naming it.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
+        Flags::parse_with_switches(args, accepted, &[])
+    }
+
+    /// [`Flags::parse`] plus the valueless flags named in `switches`.
+    pub fn parse_with_switches(
+        args: &[String],
+        accepted: &[&str],
+        switches: &[&str],
+    ) -> Result<Flags, String> {
         let mut out = Flags::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{key} needs a value"))?;
-                if out.values.insert(key.to_string(), v.clone()).is_some() {
+            let Some(key) = a.strip_prefix("--") else {
+                out.positional.push(a.clone());
+                continue;
+            };
+            if switches.contains(&key) {
+                if out.switches.iter().any(|s| s == key) {
                     return Err(format!("flag --{key} given twice"));
                 }
-            } else {
-                out.positional.push(a.clone());
+                out.switches.push(key.to_string());
+                continue;
+            }
+            if !accepted.contains(&key) {
+                let known: Vec<String> = accepted
+                    .iter()
+                    .chain(switches)
+                    .map(|k| format!("--{k}"))
+                    .collect();
+                return Err(if known.is_empty() {
+                    format!("unknown flag --{key} (this command takes no flags)")
+                } else {
+                    format!(
+                        "unknown flag --{key} (expected one of {})",
+                        known.join(", ")
+                    )
+                });
+            }
+            let v = it
+                .next()
+                .ok_or_else(|| format!("flag --{key} needs a value"))?;
+            if out.values.insert(key.to_string(), v.clone()).is_some() {
+                return Err(format!("flag --{key} given twice"));
             }
         }
         Ok(out)
@@ -32,6 +67,11 @@ impl Flags {
     /// Raw string value.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(|s| s.as_str())
+    }
+
+    /// Whether the valueless flag `--key` was given.
+    pub fn switch(&self, key: &str) -> bool {
+        self.switches.iter().any(|s| s == key)
     }
 
     /// Required string value.
@@ -67,8 +107,13 @@ impl Flags {
 mod tests {
     use super::*;
 
+    const ACCEPTED: &[&str] = &["n", "seed", "out"];
+
     fn parse(s: &[&str]) -> Result<Flags, String> {
-        Flags::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>())
+        Flags::parse(
+            &s.iter().map(|x| x.to_string()).collect::<Vec<_>>(),
+            ACCEPTED,
+        )
     }
 
     #[test]
@@ -88,6 +133,35 @@ mod tests {
     #[test]
     fn duplicate_flag_is_error() {
         assert!(parse(&["--n", "1", "--n", "2"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_named_in_the_error() {
+        let err = parse(&["--n", "1", "--sead", "7"]).unwrap_err();
+        assert!(err.contains("--sead"), "got: {err}");
+        assert!(err.contains("--seed"), "lists the accepted flags: {err}");
+        // An unknown trailing flag is unknown, not merely missing a value.
+        let err = parse(&["--nn"]).unwrap_err();
+        assert!(err.contains("unknown flag --nn"), "got: {err}");
+        let args = vec!["--n".to_string(), "1".to_string()];
+        let err = Flags::parse(&args, &[]).unwrap_err();
+        assert!(
+            err.contains("--n") && err.contains("no flags"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn switches_take_no_value() {
+        let args: Vec<String> = ["--dry", "--n", "3", "pos"]
+            .iter()
+            .map(|x| x.to_string())
+            .collect();
+        let f = Flags::parse_with_switches(&args, ACCEPTED, &["dry", "loud"]).unwrap();
+        assert!(f.switch("dry"));
+        assert!(!f.switch("loud"));
+        assert_eq!(f.get("n"), Some("3"));
+        assert_eq!(f.positional, vec!["pos"]);
     }
 
     #[test]

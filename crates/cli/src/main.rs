@@ -1,10 +1,10 @@
 //! `asm` — command-line front end for the seedmin stack.
 //!
 //! ```text
-//! asm generate --kind chung-lu --n 10000 --m 50000 --out g.bin
-//! asm stats g.bin
-//! asm run --graph g.bin --algo asti --eta-frac 0.05 --model ic --worlds 5
-//! asm convert g.txt g.bin
+//! asm generate --kind chung-lu --n 10000 --m 50000 --out g.smg
+//! asm stats g.smg
+//! asm run --graph g.smg --algo asti --eta-frac 0.05 --model ic --worlds 5
+//! asm convert g.smg g.txt
 //! ```
 
 #![forbid(unsafe_code)]
@@ -20,14 +20,14 @@ asm — adaptive seed minimization toolkit
 
 USAGE:
   asm generate --kind <chung-lu|ba|er|ws> --n <N> [--m <M>] [--gamma F]
+               [--attach A] [--k K] [--beta F]
                [--weights <wc|uniform:P|tri>] [--seed N] --out <FILE>
   asm stats <GRAPH>
   asm run --graph <GRAPH> --algo <asti|adaptim|ateuc> [--batch B]
           (--eta N | --eta-frac F) [--model ic|lt] [--eps F] [--seed N]
           [--worlds K] [--threads T] [--audit FILE]
   asm serve [--addr HOST:PORT] [--graphs-dir DIR] [--state-dir DIR]
-            [--threads T] [--cache N] [--transport auto|epoll|threaded]
-            [--max-pending N]
+            [--threads T] [--cache N] [--max-pending N] [--trace-log FILE]
   asm lint [--root DIR] [--format human|json] [--baseline FILE]
            [--no-baseline] [--write-baseline]
   asm bench-check --baseline FILE --current FILE [--tol F]
@@ -35,11 +35,14 @@ USAGE:
   asm inspect <FILE.smg>            # dump a snapshot header
   asm convert <IN> <OUT>            # re-encode by output extension
 
-GRAPH inputs are content-sniffed: '.smg' CSR snapshots, the legacy binary
-dump, and text edge lists (`u v [p]` per line, '#'/'%' comments, SNAP
-`# Nodes: N Edges: M` size headers honored) all load regardless of
-extension. Outputs choose their format by extension: '.smg' snapshot,
-'.bin' legacy binary, anything else text.
+GRAPH inputs are content-sniffed: '.smg' CSR snapshots and text edge lists
+(`u v [p]` per line, '#'/'%' comments, SNAP `# Nodes: N Edges: M` size
+headers honored) both load regardless of extension. Outputs choose their
+format by extension: '.smg' snapshot, anything else text.
+
+--attach (ba, default 4), --k and --beta (ws, defaults 6 and 0.1) shape
+the non-power-law generators; --m (default 5n) and --gamma (default 2.1)
+the others.
 
 pack writes the deterministic `.smg` snapshot (64-byte header + checksummed
 offset/target/probability columns): the same graph always produces the same
@@ -61,19 +64,18 @@ memory with warm sketch-pool sessions; POST /v1/select runs TRIM / TRIM-B /
 ASTI with per-request eta, model, eps, batch, seed, and POST
 /v1/select-batch runs many items against one graph resolution and one warm
 session. Same request body => byte-identical response, for every thread
-count and both transports. --transport picks the service core: 'epoll' is
-the readiness event loop (one poll thread multiplexing every connection,
---threads dispatch workers), 'threaded' the portable worker-per-connection
-fallback, 'auto' (default) probes the kernel. --max-pending is the
-admission high-water mark: queued + running requests beyond it get a
-deterministic 429 (default 1024). Requests may carry X-Deadline-Millis; a
+count. The server is an epoll event loop (one poll thread multiplexing
+every connection, --threads dispatch workers) and runs on Linux
+x86_64/aarch64 only. --max-pending is the admission high-water mark:
+queued + running requests beyond it get a deterministic 429 (default
+1024). Requests may carry X-Deadline-Millis; a
 request whose budget expires before dispatch gets a structured 504.
 --threads sets the worker count (default SMIN_THREADS, then all cores);
 --cache bounds the memoized-response count (default 1024, 0 disables). --state-dir
 makes the registry durable: every registered graph is snapshotted to
 DIR/graphs/<id>.smg and indexed in DIR/manifest.json, and a restarted
 server reloads all of them — same ids, same checksum-derived tokens — with
-no re-registration.
+no re-registration. --trace-log FILE appends one JSON line per request.
 
 bench-check gates the recorded performance trajectory: every \"median\"
 leaf in the committed --baseline artifact (BENCH_coverage.json,
@@ -118,5 +120,64 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` names USAGE documents for `asm <cmd>`: every
+    /// `--[a-z-]+` token from its first line up to the next command.
+    fn documented_flags(cmd: &str) -> Vec<String> {
+        let start = format!("  asm {cmd} ");
+        let block: Vec<&str> = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with(&start))
+            .enumerate()
+            .take_while(|(i, l)| *i == 0 || !(l.starts_with("  asm ") || l.is_empty()))
+            .map(|(_, l)| l)
+            .collect();
+        assert!(!block.is_empty(), "USAGE has no `asm {cmd}` line");
+        block
+            .iter()
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|w| !w.is_empty())
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn every_documented_flag_parses() {
+        let subcommands: [(&str, &[&str], &[&str]); 9] = [
+            ("generate", commands::GENERATE_FLAGS, &[]),
+            ("stats", &[], &[]),
+            ("run", commands::RUN_FLAGS, &[]),
+            ("serve", commands::SERVE_FLAGS, &[]),
+            ("lint", commands::LINT_FLAGS, commands::LINT_SWITCHES),
+            ("bench-check", bench_check::BENCH_CHECK_FLAGS, &[]),
+            ("pack", &[], &[]),
+            ("inspect", &[], &[]),
+            ("convert", &[], &[]),
+        ];
+        for (cmd, accepted, switches) in subcommands {
+            let documented = documented_flags(cmd);
+            let mut args = Vec::new();
+            for flag in &documented {
+                args.push(format!("--{flag}"));
+                if !switches.contains(&flag.as_str()) {
+                    args.push("1".to_string());
+                }
+            }
+            let parsed = flags::Flags::parse_with_switches(&args, accepted, switches);
+            assert!(parsed.is_ok(), "asm {cmd}: {:?}", parsed.err());
+        }
+        // Spot-check the extraction itself, so an empty list cannot pass.
+        let serve = documented_flags("serve");
+        for flag in ["addr", "threads", "graphs-dir", "trace-log"] {
+            assert!(serve.iter().any(|f| f == flag), "serve lacks --{flag}");
+        }
+        assert!(documented_flags("pack").is_empty());
     }
 }

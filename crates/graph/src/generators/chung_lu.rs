@@ -31,13 +31,27 @@ pub fn power_law_weights(n: usize, gamma: f64, i0: f64) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if `m` exceeds `n·(n−1)` (impossible to place) or if the rejection
-/// loop cannot make progress (`m` too close to dense).
+/// loop cannot make progress (`m` too close to dense; see
+/// [`try_chung_lu_directed`]).
 pub fn chung_lu_directed(
     n: usize,
     m: usize,
     gamma: f64,
     rng: &mut impl Rng,
 ) -> Vec<(NodeId, NodeId)> {
+    try_chung_lu_directed(n, m, gamma, rng)
+        .expect("chung_lu_directed stalled: graph too dense for rejection sampling")
+}
+
+/// [`chung_lu_directed`], returning `None` instead of panicking when the
+/// rejection loop stalls, which no cheap check on `(n, m, gamma)` rules
+/// out in advance. The other preconditions still panic.
+pub fn try_chung_lu_directed(
+    n: usize,
+    m: usize,
+    gamma: f64,
+    rng: &mut impl Rng,
+) -> Option<Vec<(NodeId, NodeId)>> {
     assert!(n >= 2, "need at least two nodes");
     assert!(
         (m as u128) <= (n as u128) * (n as u128 - 1),
@@ -78,13 +92,12 @@ pub fn chung_lu_directed(
             stall = 0;
         } else {
             stall += 1;
-            assert!(
-                stall < stall_limit,
-                "chung_lu_directed stalled: graph too dense for rejection sampling"
-            );
+            if stall >= stall_limit {
+                return None;
+            }
         }
     }
-    edges
+    Some(edges)
 }
 
 fn shuffle(v: &mut [u32], rng: &mut impl Rng) {

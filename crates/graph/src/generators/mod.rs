@@ -18,7 +18,7 @@ mod ws;
 
 pub use alias::AliasTable;
 pub use ba::barabasi_albert;
-pub use chung_lu::{chung_lu_directed, power_law_weights};
+pub use chung_lu::{chung_lu_directed, power_law_weights, try_chung_lu_directed};
 pub use er::erdos_renyi;
 pub use rmat::{rmat, RmatParams};
 pub use ws::watts_strogatz;

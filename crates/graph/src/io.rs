@@ -148,69 +148,15 @@ pub fn write_edge_list(g: &Graph, mut writer: impl Write) -> Result<(), GraphErr
     Ok(())
 }
 
-/// Magic header of the binary graph format.
-const BINARY_MAGIC: &[u8; 8] = b"SMING001";
-
-/// Writes a graph in a compact little-endian binary format (~16 bytes per
-/// edge). Loading a multi-million-edge graph from this format is an order of
-/// magnitude faster than re-parsing a text edge list.
-pub fn write_binary(g: &Graph, mut writer: impl Write) -> Result<(), GraphError> {
-    writer.write_all(BINARY_MAGIC)?;
-    writer.write_all(&(g.n() as u64).to_le_bytes())?;
-    writer.write_all(&(g.m() as u64).to_le_bytes())?;
-    for (u, v, p) in g.edges() {
-        writer.write_all(&u.to_le_bytes())?;
-        writer.write_all(&v.to_le_bytes())?;
-        writer.write_all(&p.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads a graph written by [`write_binary`].
-pub fn read_binary(mut reader: impl Read) -> Result<Graph, GraphError> {
-    let bad = |msg: &str| GraphError::Parse {
-        line: 0,
-        message: msg.to_string(),
-    };
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(bad("not a seedmin binary graph (bad magic)"));
-    }
-    let mut word = [0u8; 8];
-    reader.read_exact(&mut word)?;
-    let n = u64::from_le_bytes(word) as usize;
-    reader.read_exact(&mut word)?;
-    let m = u64::from_le_bytes(word) as usize;
-
-    let mut b = crate::GraphBuilder::with_capacity(n, m).dedup_policy(DedupPolicy::KeepFirst);
-    let mut buf = [0u8; 16];
-    for _ in 0..m {
-        reader.read_exact(&mut buf)?;
-        let u = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-        let v = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-        let p = f64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-        b.add_edge_p(u, v, p)?;
-    }
-    b.build()
-}
-
-/// Writes the binary format to a file path.
-pub fn write_binary_path(g: &Graph, path: impl AsRef<Path>) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_binary(g, std::io::BufWriter::new(file))
-}
-
-/// Reads the binary format from a file path.
-pub fn read_binary_path(path: impl AsRef<Path>) -> Result<Graph, GraphError> {
-    let file = std::fs::File::open(path)?;
-    read_binary(BufReader::new(file))
-}
+/// Magic of the retired `SMING001` edge-dump format, recognized only so
+/// such a file gets a pointer to `.smg` instead of being parsed as text.
+const LEGACY_MAGIC: &[u8; 8] = b"SMING001";
 
 /// Loads a graph from a file of any supported format, sniffing content rather
-/// than trusting the extension: `.smg` snapshots (magic `\x89SMG\r\n\x1a\n`),
-/// the legacy `SMING001` edge-dump binary, or a text edge list (directed,
-/// default probability `default_p` where a line omits one).
+/// than trusting the extension: `.smg` snapshots (magic `\x89SMG\r\n\x1a\n`)
+/// or a text edge list (directed, default probability `default_p` where a
+/// line omits one). A file in the retired `SMING001` binary format is an
+/// error naming the replacement.
 pub fn load_auto(path: impl AsRef<Path>, default_p: f64) -> Result<Graph, GraphError> {
     let mut file = std::fs::File::open(path)?;
     let mut magic = [0u8; 8];
@@ -227,8 +173,13 @@ pub fn load_auto(path: impl AsRef<Path>, default_p: f64) -> Result<Graph, GraphE
     let head = &magic[..got];
     if head == crate::store::SMG_MAGIC {
         crate::store::read_smg(BufReader::new(file))
-    } else if head == BINARY_MAGIC {
-        read_binary(BufReader::new(file))
+    } else if head == LEGACY_MAGIC {
+        Err(GraphError::Parse {
+            line: 0,
+            message: "the SMING001 binary format is no longer supported; \
+                      re-create the graph as a .smg snapshot (asm pack)"
+                .to_string(),
+        })
     } else {
         read_edge_list(file)?.into_graph(true, default_p)
     }
@@ -392,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn load_auto_sniffs_all_three_formats() {
+    fn load_auto_sniffs_both_formats_and_rejects_legacy() {
         let g = read_edge_list("0 1 0.5\n1 2 0.25\n".as_bytes())
             .unwrap()
             .into_graph(true, 1.0)
@@ -403,15 +354,28 @@ mod tests {
         // Deliberately misleading extensions: content sniffing must win.
         let text = dir.join("graph.smg");
         std::fs::write(&text, "0 1 0.5\n1 2 0.25\n").unwrap();
-        let legacy = dir.join("graph.txt");
-        write_binary_path(&g, &legacy).unwrap();
-        let smg = dir.join("graph.bin");
+        let smg = dir.join("graph.txt");
         crate::store::write_smg_path(&g, &smg).unwrap();
 
         let want: Vec<_> = g.edges().collect();
-        for path in [&text, &legacy, &smg] {
+        for path in [&text, &smg] {
             let loaded = load_auto(path, 1.0).unwrap();
             assert_eq!(loaded.edges().collect::<Vec<_>>(), want, "path {path:?}");
+        }
+
+        // A retired SMING001 dump is refused with a pointer to `.smg`,
+        // never mis-parsed as a text edge list.
+        let legacy = dir.join("graph.bin");
+        let mut bytes = b"SMING001".to_vec();
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        std::fs::write(&legacy, bytes).unwrap();
+        match load_auto(&legacy, 1.0) {
+            Err(GraphError::Parse { message, .. }) => {
+                assert!(message.contains(".smg"), "got: {message}");
+                assert!(message.contains("asm pack"), "got: {message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -428,45 +392,6 @@ mod tests {
         let (_, p) = g.out_edges(0).next().unwrap();
         assert_eq!(p, 0.5);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let input = "0 1 0.5\n1 2 0.25\n2 0 1.0\n";
-        let g = read_edge_list(input.as_bytes())
-            .unwrap()
-            .into_graph(true, 1.0)
-            .unwrap();
-        let mut bytes = Vec::new();
-        write_binary(&g, &mut bytes).unwrap();
-        assert_eq!(bytes.len(), 8 + 16 + 3 * 16);
-        let g2 = read_binary(bytes.as_slice()).unwrap();
-        assert_eq!(g.n(), g2.n());
-        let e1: Vec<_> = g.edges().collect();
-        let e2: Vec<_> = g2.edges().collect();
-        assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let bytes = b"NOTMAGIC________".to_vec();
-        assert!(matches!(
-            read_binary(bytes.as_slice()),
-            Err(GraphError::Parse { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_truncated_input() {
-        let input = "0 1 0.5\n";
-        let g = read_edge_list(input.as_bytes())
-            .unwrap()
-            .into_graph(true, 1.0)
-            .unwrap();
-        let mut bytes = Vec::new();
-        write_binary(&g, &mut bytes).unwrap();
-        bytes.truncate(bytes.len() - 4);
-        assert!(read_binary(bytes.as_slice()).is_err());
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! The service speaks exactly the subset a JSON API needs — request line,
 //! headers, `Content-Length` bodies, keep-alive — hand-rolled because the
 //! offline build has no HTTP crates. This module is the server side
-//! ([`read_request`]/[`Response`]); the matching client-side framing lives
+//! ([`RequestParser`]/[`Response`]); the matching client-side framing lives
 //! in [`crate::client`], and the integration tests drive one against the
 //! other to keep the two implementations honest.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Largest accepted request body (4 MiB): generous for JSON control-plane
 /// bodies, small enough that a misbehaving client cannot balloon a worker.
@@ -25,43 +25,16 @@ pub const MAX_HEADERS: usize = 100;
 /// pipelined backlog drains, bounding per-connection memory.
 pub const MAX_BUFFERED_BYTES: usize = MAX_BODY_BYTES + 2 * MAX_LINE_BYTES;
 
-/// A parse-level failure; mapped to a 400 close-connection response.
+/// A protocol violation; mapped to a 400 close-connection response.
 #[derive(Debug)]
 pub struct HttpError {
     pub message: String,
-    /// `true` when the failure is transport-level (timeout, reset, EOF
-    /// mid-request) rather than a protocol violation. Transport failures
-    /// close the connection silently — answering them with a 400 would
-    /// desync a keep-alive peer that sent nothing (e.g. an idle client
-    /// whose read timeout fired server-side).
-    pub is_io: bool,
-    /// `true` when the request line and all headers were already parsed
-    /// when the failure hit — i.e. the peer committed to a request and
-    /// stalled mid-body. Such a peer deserves a 408 before close rather
-    /// than the silent close an idle connection gets.
-    pub head_parsed: bool,
-    /// `true` when the underlying I/O failure was a read timeout
-    /// (`WouldBlock`/`TimedOut`) rather than a reset or EOF.
-    pub timed_out: bool,
 }
 
 impl HttpError {
     fn protocol(message: impl Into<String>) -> HttpError {
         HttpError {
             message: message.into(),
-            is_io: false,
-            head_parsed: false,
-            timed_out: false,
-        }
-    }
-
-    fn io(message: impl Into<String>, kind: std::io::ErrorKind) -> HttpError {
-        use std::io::ErrorKind;
-        HttpError {
-            message: message.into(),
-            is_io: true,
-            head_parsed: false,
-            timed_out: matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut),
         }
     }
 }
@@ -106,113 +79,11 @@ impl Request {
     }
 }
 
-/// Reads one line up to CRLF (or LF), enforcing [`MAX_LINE_BYTES`].
-/// `Ok(None)` signals clean EOF *before any byte* — the peer closed a
-/// keep-alive connection between requests.
-fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
-    let mut buf = Vec::new();
-    let mut limited = std::io::Read::take(&mut *reader, MAX_LINE_BYTES as u64 + 1);
-    match limited.read_until(b'\n', &mut buf) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(HttpError::io(format!("read failed: {e}"), e.kind())),
-    }
-    if buf.len() > MAX_LINE_BYTES {
-        return bad("header line too long");
-    }
-    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-        buf.pop();
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(Some(s)),
-        Err(_) => bad("header line is not UTF-8"),
-    }
-}
-
-/// Parses one request from the stream. `Ok(None)` means the peer closed the
-/// connection cleanly before sending another request (normal keep-alive
-/// termination).
-pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-    let Some(request_line) = read_line(reader)? else {
-        return Ok(None);
-    };
-    if request_line.is_empty() {
-        return bad("empty request line");
-    }
-    let mut parts = request_line.split_ascii_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return bad(format!("malformed request line: {request_line:?}"));
-    };
-    if parts.next().is_some() || !version.starts_with("HTTP/1.") {
-        return bad(format!("malformed request line: {request_line:?}"));
-    }
-
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(reader)? else {
-            return Err(HttpError::io(
-                "connection closed mid-headers",
-                std::io::ErrorKind::UnexpectedEof,
-            ));
-        };
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return bad("too many headers");
-        }
-        let Some((k, v)) = line.split_once(':') else {
-            return bad(format!("malformed header: {line:?}"));
-        };
-        headers.push((k.trim().to_string(), v.trim().to_string()));
-    }
-
-    // The only body framing supported is Content-Length. A chunked body
-    // would otherwise be misread as pipelined requests (response desync),
-    // so reject it explicitly — the 400 closes the connection.
-    if headers
-        .iter()
-        .any(|(k, _)| k.eq_ignore_ascii_case("transfer-encoding"))
-    {
-        return bad("Transfer-Encoding is not supported; send a Content-Length body");
-    }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .map(|(_, v)| v.parse::<usize>())
-        .transpose()
-        .map_err(|e| HttpError::protocol(format!("bad content-length: {e}")))?
-        .unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return bad(format!("body of {content_length} bytes exceeds limit"));
-    }
-
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        std::io::Read::read_exact(reader, &mut body).map_err(|e| {
-            let mut err = HttpError::io(format!("body read failed: {e}"), e.kind());
-            err.head_parsed = true;
-            err
-        })?;
-    }
-
-    Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        version: version.to_string(),
-        headers,
-        body,
-    }))
-}
-
-/// Incremental HTTP/1.1 request parser for the non-blocking transport:
-/// raw bytes go in via [`RequestParser::feed`] as they arrive off the
-/// socket, complete requests come out of [`RequestParser::try_next`] once
-/// they frame. Limits and error messages match [`read_request`] exactly —
-/// the proptest suite pins the two byte-for-byte equivalent at every
-/// possible split boundary — so both transports reject identical inputs
-/// with identical diagnostics.
+/// Incremental HTTP/1.1 request parser for the event loop: raw bytes go in
+/// via [`RequestParser::feed`] as they arrive off the socket, complete
+/// requests come out of [`RequestParser::try_next`] once they frame. The
+/// test module keeps a straight-line blocking parser as its reference; the
+/// proptest suite pins the two equivalent at every possible split boundary.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     /// Raw bytes; `start..` is unconsumed, `..start` is already parsed.
@@ -284,9 +155,8 @@ impl RequestParser {
         out
     }
 
-    /// One line ending in `\n`, trailing `\r`s stripped (mirrors
-    /// [`read_line`]'s tolerance for bare-LF peers). `Ok(None)` = the
-    /// terminator has not arrived yet.
+    /// One line ending in `\n`, trailing `\r`s stripped (tolerating
+    /// bare-LF peers). `Ok(None)` = the terminator has not arrived yet.
     fn take_line(&mut self) -> Result<Option<String>, HttpError> {
         let pending = self.buf.get(self.scan..).unwrap_or(&[]);
         let Some(rel) = pending.iter().position(|&b| b == b'\n') else {
@@ -359,8 +229,10 @@ impl RequestParser {
                             .push((k.trim().to_string(), v.trim().to_string()));
                         continue;
                     }
-                    // Blank line: the head is complete. Same body-framing
-                    // rules as the blocking parser.
+                    // Blank line: the head is complete. The only body
+                    // framing supported is Content-Length: a chunked body
+                    // would otherwise be misread as pipelined requests
+                    // (response desync), so it is rejected explicitly.
                     if head
                         .headers
                         .iter()
@@ -497,9 +369,122 @@ impl Response {
 mod tests {
     use super::*;
 
+    /// Parses `raw` as one complete stream with the production parser:
+    /// bytes left unframed at the end are a connection closed mid-request.
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut raw.as_bytes())
+        let mut p = RequestParser::new();
+        p.feed(raw.as_bytes());
+        match p.try_next()? {
+            None if p.mid_request() => bad("connection closed mid-request"),
+            next => Ok(next),
+        }
     }
+
+    /// The straight-line blocking parser over a `BufRead`: the reference
+    /// the incremental parser is checked against.
+    mod reference {
+        use super::*;
+        use std::io::BufRead;
+
+        /// Reads one line up to CRLF (or LF), enforcing [`MAX_LINE_BYTES`].
+        /// `Ok(None)` signals clean EOF *before any byte* — the peer closed a
+        /// keep-alive connection between requests.
+        fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
+            let mut buf = Vec::new();
+            let mut limited = std::io::Read::take(&mut *reader, MAX_LINE_BYTES as u64 + 1);
+            match limited.read_until(b'\n', &mut buf) {
+                Ok(0) => return Ok(None),
+                Ok(_) => {}
+                Err(e) => return bad(format!("read failed: {e}")),
+            }
+            if buf.len() > MAX_LINE_BYTES {
+                return bad("header line too long");
+            }
+            while matches!(buf.last(), Some(b'\n' | b'\r')) {
+                buf.pop();
+            }
+            match String::from_utf8(buf) {
+                Ok(s) => Ok(Some(s)),
+                Err(_) => bad("header line is not UTF-8"),
+            }
+        }
+
+        /// Parses one request from the stream. `Ok(None)` means the peer closed the
+        /// connection cleanly before sending another request (normal keep-alive
+        /// termination).
+        pub(super) fn read_request(
+            reader: &mut impl BufRead,
+        ) -> Result<Option<Request>, HttpError> {
+            let Some(request_line) = read_line(reader)? else {
+                return Ok(None);
+            };
+            if request_line.is_empty() {
+                return bad("empty request line");
+            }
+            let mut parts = request_line.split_ascii_whitespace();
+            let (Some(method), Some(path), Some(version)) =
+                (parts.next(), parts.next(), parts.next())
+            else {
+                return bad(format!("malformed request line: {request_line:?}"));
+            };
+            if parts.next().is_some() || !version.starts_with("HTTP/1.") {
+                return bad(format!("malformed request line: {request_line:?}"));
+            }
+
+            let mut headers = Vec::new();
+            loop {
+                let Some(line) = read_line(reader)? else {
+                    return bad("connection closed mid-headers");
+                };
+                if line.is_empty() {
+                    break;
+                }
+                if headers.len() >= MAX_HEADERS {
+                    return bad("too many headers");
+                }
+                let Some((k, v)) = line.split_once(':') else {
+                    return bad(format!("malformed header: {line:?}"));
+                };
+                headers.push((k.trim().to_string(), v.trim().to_string()));
+            }
+
+            // The only body framing supported is Content-Length. A chunked body
+            // would otherwise be misread as pipelined requests (response desync),
+            // so reject it explicitly — the 400 closes the connection.
+            if headers
+                .iter()
+                .any(|(k, _)| k.eq_ignore_ascii_case("transfer-encoding"))
+            {
+                return bad("Transfer-Encoding is not supported; send a Content-Length body");
+            }
+            let content_length = headers
+                .iter()
+                .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+                .map(|(_, v)| v.parse::<usize>())
+                .transpose()
+                .map_err(|e| HttpError::protocol(format!("bad content-length: {e}")))?
+                .unwrap_or(0);
+            if content_length > MAX_BODY_BYTES {
+                return bad(format!("body of {content_length} bytes exceeds limit"));
+            }
+
+            let mut body = vec![0u8; content_length];
+            if content_length > 0 {
+                std::io::Read::read_exact(reader, &mut body)
+                    .map_err(|e| HttpError::protocol(format!("body read failed: {e}")))?;
+            }
+
+            Ok(Some(Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                version: version.to_string(),
+                headers,
+                body,
+            }))
+        }
+    }
+
+    use reference::read_request;
 
     #[test]
     fn parses_get_without_body() {
@@ -566,20 +551,7 @@ mod tests {
     #[test]
     fn transfer_encoding_is_rejected_as_protocol_error() {
         let err = parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2f\r\n").unwrap_err();
-        assert!(!err.is_io, "protocol violation, not a transport failure");
         assert!(err.message.contains("Transfer-Encoding"), "{err}");
-    }
-
-    #[test]
-    fn truncation_is_io_parse_garbage_is_not() {
-        // Mid-headers EOF and short bodies are transport-level (close
-        // silently); garbage framing is a protocol error (answer 400).
-        let io = parse("GET / HTTP/1.1\r\nHost: x\r\n").unwrap_err();
-        assert!(io.is_io);
-        let io = parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").unwrap_err();
-        assert!(io.is_io);
-        let proto = parse("GARBAGE\r\n\r\n").unwrap_err();
-        assert!(!proto.is_io);
     }
 
     #[test]
@@ -640,7 +612,7 @@ mod tests {
     #[test]
     fn incremental_parser_rejects_what_the_blocking_parser_rejects() {
         // Identical inputs must produce identical diagnostics on both
-        // parsers — the transports answer 400 with the same message.
+        // parsers: the 400 the server answers quotes this message.
         for raw in [
             "GARBAGE\r\n\r\n",
             "GET /\r\n\r\n",

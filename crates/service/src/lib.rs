@@ -17,12 +17,10 @@
 //!   bounded response cache ([`cache`]) sound — a repeated request is a
 //!   memory read.
 //! * **Std-only HTTP/1.1** ([`http`], [`server`]): hand-rolled framing over
-//!   `std::net`, keep-alive by default, served by one of two transports —
-//!   an epoll readiness event loop ([`event_loop`] over raw syscall shims
-//!   in [`platform`]) multiplexing every connection on one poll thread, or
-//!   the portable acceptor → worker-pool fallback. Both produce
-//!   byte-identical responses; [`server::Transport::Auto`] probes at bind
-//!   time.
+//!   `std::net`, keep-alive by default, served by an epoll readiness event
+//!   loop ([`event_loop`] over raw syscall shims in [`platform`])
+//!   multiplexing every connection on one poll thread. The server runs on
+//!   Linux x86_64/aarch64 only; [`platform`] says why.
 //! * **Request-level protections**: `X-Deadline-Millis` budgets (504),
 //!   admission control at a pending-dispatch high-water mark (429), and
 //!   batched selection (`POST /v1/select-batch`) amortizing graph
@@ -30,7 +28,7 @@
 //! * **Observability** ([`metrics`], [`trace`]): a lock-free metric
 //!   registry ([`smin_obs`]) fed by the event loop, the session layer, and
 //!   the registry/cache, exposed at `GET /metrics` in the Prometheus text
-//!   format on both transports; optional per-request JSON trace lines via
+//!   format; optional per-request JSON trace lines via
 //!   `--trace-log`. Timing travels in headers and logs only — response
 //!   bodies stay byte-identical with instrumentation on.
 //!
@@ -49,7 +47,6 @@
 pub mod cache;
 pub mod client;
 pub mod error;
-#[cfg(unix)]
 pub(crate) mod event_loop;
 pub mod http;
 pub mod json;
@@ -64,5 +61,5 @@ pub use client::{Client, ClientResponse};
 pub use error::ServiceError;
 pub use metrics::ServiceMetrics;
 pub use routes::ServiceState;
-pub use server::{Server, ServerConfig, ServerHandle, Transport};
+pub use server::{Server, ServerConfig, ServerHandle};
 pub use trace::TraceLog;

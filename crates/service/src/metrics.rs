@@ -1,11 +1,11 @@
 //! The service's metric registry and its `/metrics` exposition.
 //!
-//! One [`ServiceMetrics`] instance lives in [`ServiceState`] and is shared
-//! by both transports: the epoll event loop feeds the loop-level series
-//! (poll wait, queue depth, slab occupancy, timers, byte counters), the
-//! session layer feeds the per-route request counters, structured-error
-//! counters, and per-stage select histograms, and the registry/cache series
-//! are read live at scrape time. All cells are lock-free atomics
+//! One [`ServiceMetrics`] instance lives in [`ServiceState`]: the epoll
+//! event loop feeds the loop-level series (poll wait, queue depth, slab
+//! occupancy, timers, byte counters), the session layer feeds the
+//! per-route request counters, structured-error counters, and per-stage
+//! select histograms, and the registry/cache series are read live at
+//! scrape time. All cells are lock-free atomics
 //! ([`smin_obs`]) — recording a metric never takes a lock and never
 //! allocates.
 //!
@@ -22,7 +22,7 @@ use smin_obs::{expo, Counter, Gauge, Histogram};
 /// Every metric the service records, grouped by layer.
 #[derive(Default)]
 pub struct ServiceMetrics {
-    // --- event loop (epoll transport) ---
+    // --- event loop ---
     /// Time spent blocked in `epoll_wait`, per call.
     pub epoll_wait_micros: Histogram,
     /// Dispatches queued + running (sampled once per loop iteration).
@@ -43,7 +43,7 @@ pub struct ServiceMetrics {
     /// Bytes written to connection sockets.
     pub bytes_written: Counter,
 
-    // --- session layer: requests per route (both transports) ---
+    // --- session layer: requests per route ---
     /// `GET /healthz` requests routed.
     pub requests_healthz: Counter,
     /// `/v1/graphs` (+ `/v1/graphs/{id}`) requests routed.
@@ -55,7 +55,7 @@ pub struct ServiceMetrics {
     /// Everything else (404s, stray methods).
     pub requests_other: Counter,
 
-    // --- structured transport errors (both transports) ---
+    // --- structured transport errors ---
     /// 400s from malformed HTTP or a bad `X-Deadline-Millis` header.
     pub errors_400: Counter,
     /// 408s: the peer committed to a request and stalled past the timeout.

@@ -4,10 +4,11 @@
 //! The offline build has no `libc`/`mio` crates, so the four syscalls the
 //! event loop needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `close`)
 //! are issued directly via inline assembly on Linux x86_64/aarch64 — the
-//! workspace's only `unsafe` surface, confined to the [`sys`] module. Every
-//! other target gets a stub whose [`Poller::new`] fails with
-//! `Unsupported`, which [`crate::server`] answers by falling back to the
-//! threaded transport at runtime; [`supported`] is that runtime probe.
+//! workspace's only `unsafe` surface, confined to the [`sys`] module. These
+//! two targets are the server's declared platform: one transport keeps one
+//! code path to test, and the shims are all the `unsafe` the server needs.
+//! Every other target gets a stub whose [`Poller::new`] fails, so
+//! `asm serve` exits with an error naming the supported platforms.
 //!
 //! Only `epoll` itself needs raw syscalls: non-blocking mode, accept, read,
 //! and write all go through `std::net`, so the sockets stay ordinary
@@ -67,9 +68,15 @@ pub struct Poller {
 
 impl Poller {
     /// Creates an epoll instance (`EPOLL_CLOEXEC`). Fails with
-    /// `Unsupported` on targets without the raw-syscall shims.
+    /// `Unsupported` on targets without the raw-syscall shims; every
+    /// failure names the supported platforms.
     pub fn new() -> std::io::Result<Poller> {
-        let epfd = sys::epoll_create1(EPOLL_CLOEXEC)?;
+        let epfd = sys::epoll_create1(EPOLL_CLOEXEC).map_err(|e| {
+            std::io::Error::new(
+                e.kind(),
+                format!("cannot create an epoll instance ({e}); the server runs on Linux x86_64/aarch64 only"),
+            )
+        })?;
         Ok(Poller { epfd })
     }
 
@@ -100,12 +107,6 @@ impl Drop for Poller {
     fn drop(&mut self) {
         sys::close(self.epfd);
     }
-}
-
-/// Runtime probe: can this process create an epoll instance? `false` routes
-/// [`crate::server::Transport::Auto`] to the threaded fallback.
-pub fn supported() -> bool {
-    Poller::new().is_ok()
 }
 
 #[cfg(all(
@@ -296,15 +297,14 @@ mod sys {
 )))]
 mod sys {
     //! Stub for targets without the raw-syscall shims: every entry point
-    //! fails with `Unsupported`, which routes `Transport::Auto` to the
-    //! threaded fallback loop.
+    //! fails with `Unsupported`.
 
     use super::EpollEvent;
 
     fn unsupported<T>() -> std::io::Result<T> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "epoll is only available on Linux x86_64/aarch64",
+            "no epoll syscall shims for this target",
         ))
     }
 
@@ -340,7 +340,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn poller_probes_as_supported_on_linux() {
-        assert!(supported());
+        assert!(Poller::new().is_ok());
     }
 
     #[cfg(target_os = "linux")]

@@ -36,7 +36,7 @@ use serde_json::{json, Value};
 use smin_core::{asti_in, AstiParams, AstiSession};
 use smin_diffusion::{Model, Realization, RealizationOracle};
 use smin_graph::generators::{
-    assemble, barabasi_albert, chung_lu_directed, erdos_renyi, watts_strogatz,
+    assemble, barabasi_albert, erdos_renyi, try_chung_lu_directed, watts_strogatz,
 };
 use smin_graph::{io, store, Graph, WeightModel};
 use std::path::{Component, Path, PathBuf};
@@ -54,8 +54,8 @@ pub struct ServiceState {
     /// `None` keeps the registry in-memory only.
     state_dir: Option<PathBuf>,
     started: Instant,
-    /// Shared metric registry, fed by both transports and scraped at
-    /// `GET /metrics`.
+    /// Shared metric registry, fed by the event loop and the session layer
+    /// and scraped at `GET /metrics`.
     metrics: ServiceMetrics,
     /// Per-request JSON trace lines (`--trace-log`); `None` disables.
     trace: Option<TraceLog>,
@@ -326,10 +326,15 @@ fn parse_weights(spec: &str) -> Result<WeightModel, ServiceError> {
         "wc" => Ok(WeightModel::WeightedCascade),
         "tri" => Ok(WeightModel::Trivalency),
         other => match other.strip_prefix("uniform:") {
-            Some(p) => p
-                .parse::<f64>()
-                .map(WeightModel::Uniform)
-                .map_err(|e| ServiceError::bad_request(format!("bad uniform probability: {e}"))),
+            Some(p) => match p.parse::<f64>() {
+                Ok(p) if p > 0.0 && p <= 1.0 => Ok(WeightModel::Uniform(p)),
+                Ok(p) => Err(ServiceError::bad_request(format!(
+                    "uniform probability must be in (0, 1], got {p}"
+                ))),
+                Err(e) => Err(ServiceError::bad_request(format!(
+                    "bad uniform probability: {e}"
+                ))),
+            },
             None => Err(ServiceError::bad_request(format!(
                 "unknown weight model '{other}' (wc | uniform:P | tri)"
             ))),
@@ -339,31 +344,83 @@ fn parse_weights(spec: &str) -> Result<WeightModel, ServiceError> {
 
 /// Generates a graph from a `"generate"` spec object.
 fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
+    // The generators assert their preconditions; a request body that broke
+    // one would panic the dispatch worker, so every one is checked here
+    // first and answered with a 400.
+    fn check(ok: bool, message: impl Into<String>) -> Result<(), ServiceError> {
+        if ok {
+            Ok(())
+        } else {
+            Err(ServiceError::bad_request(message))
+        }
+    }
     let kind = json::req_str(spec, "kind")?;
     let n = json::req_usize(spec, "n")?;
-    if n == 0 {
-        return Err(ServiceError::bad_request("generator needs n >= 1"));
-    }
+    check(n >= 1, "generator needs n >= 1")?;
+    check(
+        u32::try_from(n).is_ok(),
+        format!("generator needs n <= {} (node ids are 32-bit)", u32::MAX),
+    )?;
     let seed = json::opt_u64(spec, "seed")?.unwrap_or(42);
     let weights = parse_weights(&json::opt_str(spec, "weights")?.unwrap_or_else(|| "wc".into()))?;
+    // `m` for the two edge-count generators: default 5n, at least two
+    // nodes, and no more distinct directed edges than n(n-1).
+    let edge_count = || -> Result<usize, ServiceError> {
+        let m = match json::opt_usize(spec, "m")? {
+            Some(m) => m,
+            None => n.checked_mul(5).ok_or_else(|| {
+                ServiceError::bad_request(format!("default m = 5n overflows for n = {n}"))
+            })?,
+        };
+        check(n >= 2, format!("generator '{kind}' needs n >= 2"))?;
+        let max_edges = (n as u128) * (n as u128 - 1);
+        check(
+            (m as u128) <= max_edges,
+            format!("cannot place {m} distinct directed edges on {n} nodes"),
+        )?;
+        Ok(m)
+    };
     let mut rng = SmallRng::seed_from_u64(seed);
     let (pairs, directed) = match kind.as_str() {
         "chung-lu" => {
-            let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
+            let m = edge_count()?;
             let gamma = json::opt_f64(spec, "gamma")?.unwrap_or(2.1);
-            (chung_lu_directed(n, m, gamma, &mut rng), true)
+            check(
+                gamma > 1.0,
+                format!("chung-lu needs gamma > 1, got {gamma}"),
+            )?;
+            let pairs = try_chung_lu_directed(n, m, gamma, &mut rng).ok_or_else(|| {
+                ServiceError::bad_request(format!(
+                    "chung-lu stalled placing {m} distinct edges on {n} nodes; lower m or raise gamma"
+                ))
+            })?;
+            (pairs, true)
         }
         "er" => {
-            let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
+            let m = edge_count()?;
             (erdos_renyi(n, m, &mut rng), true)
         }
         "ba" => {
             let attach = json::opt_usize(spec, "attach")?.unwrap_or(4);
+            check(attach >= 1, "ba needs attach >= 1")?;
+            check(
+                n > attach,
+                format!("ba needs more nodes ({n}) than attachments per node ({attach})"),
+            )?;
             (barabasi_albert(n, attach, &mut rng), false)
         }
         "ws" => {
             let k = json::opt_usize(spec, "k")?.unwrap_or(6);
             let beta = json::opt_f64(spec, "beta")?.unwrap_or(0.1);
+            check(
+                k >= 2 && k.is_multiple_of(2),
+                format!("ws needs an even k >= 2, got {k}"),
+            )?;
+            check(n > k, format!("ws needs n > k, got n = {n}, k = {k}"))?;
+            check(
+                (0.0..=1.0).contains(&beta),
+                format!("ws needs beta in [0, 1], got {beta}"),
+            )?;
             (watts_strogatz(n, k, beta, &mut rng), false)
         }
         other => {
@@ -396,8 +453,8 @@ fn load_graph_file(
             "path {rel:?} must be relative to the graphs dir, without '..'"
         )));
     }
-    // Content-sniffing loader: `.smg` snapshots, the legacy binary dump, and
-    // text edge lists all work regardless of extension.
+    // Content-sniffing loader: `.smg` snapshots and text edge lists both
+    // work regardless of extension.
     let g = io::load_auto(dir.join(rel_path), 1.0)?;
     Ok((g, format!("file:{rel}")))
 }
@@ -977,6 +1034,59 @@ mod tests {
         let resp = get(&s, "/healthz");
         assert_eq!(resp.status, 200);
         assert!(body_str(&resp).contains("\"status\":\"ok\""));
+    }
+
+    #[test]
+    fn generator_preconditions_are_400s_not_panics() {
+        let s = state();
+        for (spec, why) in [
+            (
+                r#"{"kind":"er","n":18446744073709551615,"m":1}"#,
+                "n beyond u32",
+            ),
+            (r#"{"kind":"ba","n":4294967296}"#, "n beyond u32"),
+            (r#"{"kind":"er","n":0,"m":0}"#, "n = 0"),
+            (r#"{"kind":"er","n":1,"m":0}"#, "er needs n >= 2"),
+            (
+                r#"{"kind":"chung-lu","n":1,"m":0}"#,
+                "chung-lu needs n >= 2",
+            ),
+            (r#"{"kind":"er","n":4,"m":13}"#, "m > n(n-1)"),
+            (r#"{"kind":"chung-lu","n":4,"m":13}"#, "m > n(n-1)"),
+            (r#"{"kind":"chung-lu","n":50,"gamma":1.0}"#, "gamma = 1"),
+            (r#"{"kind":"chung-lu","n":50,"gamma":-3}"#, "gamma < 1"),
+            (r#"{"kind":"ba","n":50,"attach":0}"#, "attach = 0"),
+            (r#"{"kind":"ba","n":4,"attach":4}"#, "n = attach"),
+            (r#"{"kind":"ws","n":50,"k":3}"#, "odd k"),
+            (r#"{"kind":"ws","n":50,"k":0}"#, "k = 0"),
+            (r#"{"kind":"ws","n":6,"k":6}"#, "n = k"),
+            (r#"{"kind":"ws","n":50,"beta":1.5}"#, "beta > 1"),
+            (r#"{"kind":"ws","n":50,"beta":-0.1}"#, "beta < 0"),
+            (r#"{"kind":"er","n":50,"weights":"uniform:0"}"#, "p = 0"),
+            (r#"{"kind":"er","n":50,"weights":"uniform:1.5"}"#, "p > 1"),
+            (
+                r#"{"kind":"chung-lu","n":200,"m":39800,"gamma":1.01}"#,
+                "rejection sampling stalls",
+            ),
+        ] {
+            let body = format!(r#"{{"generate":{spec}}}"#);
+            let resp = post(&s, "/v1/graphs", &body);
+            assert_eq!(resp.status, 400, "{why}: {spec} -> {}", body_str(&resp));
+            assert!(
+                body_str(&resp).contains("\"code\":\"bad_request\""),
+                "{why}"
+            );
+        }
+        // The limits themselves are accepted.
+        for spec in [
+            r#"{"kind":"er","n":4,"m":12}"#,
+            r#"{"kind":"chung-lu","n":2,"m":2}"#,
+            r#"{"kind":"ba","n":5,"attach":4}"#,
+            r#"{"kind":"ws","n":7,"k":6,"beta":1}"#,
+        ] {
+            let resp = post(&s, "/v1/graphs", &format!(r#"{{"generate":{spec}}}"#));
+            assert_eq!(resp.status, 201, "{spec} -> {}", body_str(&resp));
+        }
     }
 
     #[test]

@@ -1,63 +1,28 @@
-//! Transport selection and the threaded fallback loop.
+//! Server configuration, binding, and lifecycle.
 //!
-//! Two transports serve the same session layer ([`crate::routes::handle`])
-//! and produce byte-identical responses (wire-test pinned):
+//! [`Server::run`] hands the bound listener to the epoll readiness event
+//! loop ([`crate::event_loop`]): one poll thread multiplexing every
+//! connection through per-connection state machines, plus a fixed pool of
+//! dispatch threads running the session layer ([`crate::routes::handle`]).
+//! Concurrency costs a slab slot, not a thread.
 //!
-//! * **Epoll** ([`crate::event_loop`]): one poll thread multiplexing every
-//!   connection through per-connection state machines, plus a fixed pool
-//!   of dispatch threads. Concurrency costs a slab slot, not a thread.
-//! * **Threaded** (this module): one acceptor feeding accepted connections
-//!   to a fixed worker pool over `mpsc` — the original transport, kept as
-//!   the portable fallback. Each worker owns a connection for its whole
-//!   keep-alive lifetime, so open connections are capped by worker count.
-//!
-//! [`Transport::Auto`] (the default) probes the kernel at bind time and
-//! picks epoll when available. Both transports share the request-level
-//! protections: `X-Deadline-Millis` → 504, admission control → 429, and a
-//! 408 when a connection times out after its request head was parsed.
+//! The server runs on Linux x86_64/aarch64 only, where [`crate::platform`]
+//! issues the epoll syscalls directly. Elsewhere [`Server::run`] fails with
+//! an error naming the supported platforms rather than serving some other
+//! way.
 
-use crate::error::{parse_deadline, ServiceError};
-use crate::http::{read_request, Response};
-use crate::routes::{handle, ServiceState};
-use crate::trace::{TraceEvent, TraceLog};
-use std::io::BufReader;
+use crate::routes::ServiceState;
+use crate::trace::TraceLog;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
-
-/// Which service core runs the connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
-    /// Probe at serve time: epoll when the kernel supports it, else threaded.
-    Auto,
-    /// The readiness event loop (Linux). Serving fails if unavailable.
-    Epoll,
-    /// The portable acceptor → worker-pool loop.
-    Threaded,
-}
-
-impl Transport {
-    /// Parses a `--transport` flag value.
-    pub fn parse(s: &str) -> Result<Transport, String> {
-        match s {
-            "auto" => Ok(Transport::Auto),
-            "epoll" => Ok(Transport::Epoll),
-            "threaded" => Ok(Transport::Threaded),
-            other => Err(format!(
-                "unknown transport {other:?}: expected auto, epoll, or threaded"
-            )),
-        }
-    }
-}
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads: the connection pool under [`Transport::Threaded`],
-    /// the dispatch pool under [`Transport::Epoll`].
+    /// Dispatch threads running the session layer.
     pub workers: usize,
     /// Directory `{"path": …}` graph loads are confined to.
     pub graphs_dir: Option<std::path::PathBuf>,
@@ -66,17 +31,13 @@ pub struct ServerConfig {
     pub state_dir: Option<std::path::PathBuf>,
     /// Memoized `/v1/select` responses retained.
     pub cache_capacity: usize,
-    /// Which service core runs the connections.
-    pub transport: Transport,
-    /// Admission high-water mark: beyond this much pending work — queued +
-    /// running dispatches under epoll, queued connections + running
-    /// requests under the threaded fallback — new requests are answered
-    /// with a deterministic 429.
+    /// Admission high-water mark: beyond this many queued + running
+    /// dispatches, new requests are answered with a deterministic 429.
     pub max_pending: usize,
-    /// Keep-alive idle timeout (epoll transport; silent close).
+    /// Keep-alive idle timeout (silent close).
     pub idle_timeout_ms: u64,
-    /// Mid-request / response-write timeout. Under the threaded transport
-    /// this is the per-connection socket read timeout.
+    /// Mid-request / response-write timeout (408 once the request head
+    /// was parsed; silent close otherwise).
     pub request_timeout_ms: u64,
     /// Structured per-request trace log (`--trace-log`): one JSON line per
     /// request, written by a dedicated log thread. `None` disables tracing.
@@ -91,7 +52,6 @@ impl Default for ServerConfig {
             graphs_dir: None,
             state_dir: None,
             cache_capacity: 1024,
-            transport: Transport::Auto,
             max_pending: 1024,
             idle_timeout_ms: 30_000,
             request_timeout_ms: 30_000,
@@ -137,31 +97,9 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The transport that will actually serve, after `Auto` probing.
-    pub fn resolved_transport(&self) -> Transport {
-        match self.config.transport {
-            Transport::Auto => {
-                if crate::platform::supported() {
-                    Transport::Epoll
-                } else {
-                    Transport::Threaded
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
     /// Serves until `stop` turns true. Blocks the calling thread; the CLI
     /// calls this directly, tests use [`Server::spawn`].
     pub fn run(self, stop: &AtomicBool) -> std::io::Result<()> {
-        match self.resolved_transport() {
-            Transport::Epoll => self.run_epoll(stop),
-            _ => self.run_threaded(stop),
-        }
-    }
-
-    #[cfg(unix)]
-    fn run_epoll(self, stop: &AtomicBool) -> std::io::Result<()> {
         let cfg = crate::event_loop::LoopConfig {
             dispatchers: self.config.workers.max(1),
             max_pending: self.config.max_pending,
@@ -169,62 +107,6 @@ impl Server {
             request_timeout_ms: self.config.request_timeout_ms,
         };
         crate::event_loop::serve(self.listener, &self.state, &cfg, stop)
-    }
-
-    #[cfg(not(unix))]
-    fn run_epoll(self, _stop: &AtomicBool) -> std::io::Result<()> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "epoll transport requires Linux",
-        ))
-    }
-
-    fn run_threaded(self, stop: &AtomicBool) -> std::io::Result<()> {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let pending = Arc::new(AtomicUsize::new(0));
-        let workers = self.config.workers.max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = Arc::clone(&rx);
-                let state = Arc::clone(&self.state);
-                let pending = Arc::clone(&pending);
-                let config = &self.config;
-                scope.spawn(move || loop {
-                    // Holding the lock only while dequeuing: the handler
-                    // runs unlocked so workers drain connections in parallel.
-                    let conn = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-                    match conn {
-                        Ok(stream) => {
-                            // Leaving the queue: the connection stops
-                            // counting as queued; its requests count as
-                            // running via `dispatch_request` instead.
-                            pending.fetch_sub(1, Ordering::SeqCst);
-                            handle_connection(stream, &state, config, &pending)
-                        }
-                        Err(_) => break, // acceptor gone: shutting down
-                    }
-                });
-            }
-            for conn in self.listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                // Accepted-but-unserved connections count toward the
-                // admission high-water mark, mirroring the epoll loop's
-                // queued-dispatch accounting: with every worker occupied, a
-                // backlog beyond `max_pending` turns into 429s instead of
-                // building up invisibly in the channel.
-                pending.fetch_add(1, Ordering::SeqCst);
-                if tx.send(stream).is_err() {
-                    pending.fetch_sub(1, Ordering::SeqCst);
-                    break;
-                }
-            }
-            drop(tx);
-        });
-        Ok(())
     }
 
     /// Runs the server on a background thread, returning a handle that stops
@@ -263,7 +145,7 @@ impl ServerHandle {
     /// released by their timeout, peer close, or loop teardown.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept / poll wait so the loop observes the flag.
+        // Wake the poll wait so the loop observes the flag.
         let _ = TcpStream::connect(self.addr);
         if let Some(join) = self.join.take() {
             let _ = join.join();
@@ -274,129 +156,5 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Runs one parsed request through the shared protections (deadline header
-/// → 400/504, admission → 429) and the session layer. Both transports
-/// follow this exact status ordering so responses stay byte-identical.
-pub(crate) fn dispatch_request(
-    state: &ServiceState,
-    req: &crate::http::Request,
-    pending: &AtomicUsize,
-    max_pending: usize,
-    elapsed_ms: u64,
-) -> Response {
-    let deadline = match parse_deadline(req) {
-        Ok(d) => d,
-        Err(e) => {
-            state.metrics().errors_400.inc();
-            if let Some(trace) = state.trace() {
-                trace.emit(&TraceEvent {
-                    method: Some(&req.method),
-                    path: Some(&req.path),
-                    status: 400,
-                    ..TraceEvent::default()
-                });
-            }
-            return e.to_response();
-        }
-    };
-    if pending.load(Ordering::SeqCst) >= max_pending {
-        state.metrics().errors_429.inc();
-        if let Some(trace) = state.trace() {
-            trace.emit(&TraceEvent {
-                method: Some(&req.method),
-                path: Some(&req.path),
-                status: 429,
-                deadline_remaining_ms: deadline,
-                ..TraceEvent::default()
-            });
-        }
-        return ServiceError::overloaded().to_response();
-    }
-    pending.fetch_add(1, Ordering::SeqCst);
-    let resp = match deadline {
-        Some(d) if elapsed_ms >= d => {
-            state.metrics().errors_504.inc();
-            if let Some(trace) = state.trace() {
-                trace.emit(&TraceEvent {
-                    method: Some(&req.method),
-                    path: Some(&req.path),
-                    status: 504,
-                    deadline_remaining_ms: Some(0),
-                    ..TraceEvent::default()
-                });
-            }
-            ServiceError::deadline_exceeded(d).to_response()
-        }
-        _ => handle(state, req),
-    };
-    pending.fetch_sub(1, Ordering::SeqCst);
-    resp
-}
-
-/// Serves one connection for its keep-alive lifetime (threaded transport).
-fn handle_connection(
-    stream: TcpStream,
-    state: &ServiceState,
-    config: &ServerConfig,
-    pending: &AtomicUsize,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        config.request_timeout_ms.max(1),
-    )));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(None) => break, // peer closed cleanly
-            Ok(Some(req)) => {
-                let keep_alive = req.keep_alive();
-                // A blocking worker dequeues the instant it parses, so the
-                // request has spent 0ms of its deadline budget here.
-                let resp = dispatch_request(state, &req, pending, config.max_pending, 0);
-                if resp.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
-                    break;
-                }
-            }
-            Err(e) if e.is_io => {
-                // The peer committed to a request (head parsed) and then
-                // stalled past the timeout: tell it so before closing.
-                // Anything else — reset, truncation, idle timeout — closes
-                // silently, exactly like the event loop.
-                if e.timed_out && e.head_parsed {
-                    state.metrics().errors_408.inc();
-                    if let Some(trace) = state.trace() {
-                        // No fully-parsed request: method/path are null.
-                        trace.emit(&TraceEvent {
-                            status: 408,
-                            ..TraceEvent::default()
-                        });
-                    }
-                    let resp = ServiceError::request_timeout().to_response();
-                    let _ = resp.write_to(&mut writer, false);
-                }
-                break;
-            }
-            Err(e) => {
-                // Protocol violation: the stream position is unknowable, so
-                // answer once and close.
-                state.metrics().errors_400.inc();
-                if let Some(trace) = state.trace() {
-                    trace.emit(&TraceEvent {
-                        status: 400,
-                        ..TraceEvent::default()
-                    });
-                }
-                let resp = ServiceError::bad_request(format!("malformed HTTP: {e}")).to_response();
-                let _ = Response::write_to(&resp, &mut writer, false);
-                break;
-            }
-        }
     }
 }

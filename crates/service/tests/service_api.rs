@@ -6,9 +6,6 @@
 //! JSON across server restarts and across sketch-generation thread counts
 //! (threads ∈ {1, 4} both explicit and via the `SMIN_THREADS` default that
 //! CI sweeps).
-//!
-//! Clients are dropped before `shutdown()`: closing the connection releases
-//! its worker immediately instead of waiting out the server's read timeout.
 
 use smin_service::{Client, Server, ServerConfig};
 
