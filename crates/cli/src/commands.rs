@@ -7,9 +7,7 @@ use smin_core::{adapt_im, asti, ateuc, AdaptImParams, AstiParams, AteucParams};
 use smin_diffusion::{InfluenceOracle, LoggingOracle, Model, Realization, RealizationOracle};
 use smin_graph::components::weakly_connected_components;
 use smin_graph::degree::{degree_distribution, log_log_slope, DegreeKind};
-use smin_graph::generators::{
-    assemble, barabasi_albert, chung_lu_directed, erdos_renyi, watts_strogatz,
-};
+use smin_graph::generators::{assemble, GeneratorSpec};
 use smin_graph::{io, store, Graph, WeightModel};
 
 /// Loads a graph of any supported format. Dispatch is by content sniffing
@@ -31,22 +29,7 @@ fn save_graph(g: &Graph, path: &str) -> Result<(), String> {
 }
 
 fn parse_weights(spec: &str) -> Result<WeightModel, String> {
-    match spec {
-        "wc" => Ok(WeightModel::WeightedCascade),
-        "tri" => Ok(WeightModel::Trivalency),
-        other => {
-            if let Some(p) = other.strip_prefix("uniform:") {
-                let p: f64 = p
-                    .parse()
-                    .map_err(|e| format!("bad uniform probability: {e}"))?;
-                Ok(WeightModel::Uniform(p))
-            } else {
-                Err(format!(
-                    "unknown weight model '{other}' (wc | uniform:P | tri)"
-                ))
-            }
-        }
-    }
+    spec.parse().map_err(|e| format!("--weights: {e}"))
 }
 
 /// Flags `asm generate` accepts.
@@ -57,39 +40,23 @@ pub const GENERATE_FLAGS: &[&str] = &[
 /// `asm generate`
 pub fn generate(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, GENERATE_FLAGS)?;
-    let kind = f.require("kind")?;
-    let n: usize = f.get_parsed("n")?.ok_or("missing required --n")?;
+    let spec = GeneratorSpec {
+        kind: f.require("kind")?.to_string(),
+        n: f.get_parsed("n")?.ok_or("missing required --n")?,
+        m: f.get_parsed("m")?,
+        gamma: f.get_parsed("gamma")?,
+        attach: f.get_parsed("attach")?,
+        k: f.get_parsed("k")?,
+        beta: f.get_parsed("beta")?,
+    };
     let seed: u64 = f.get_or("seed", 42)?;
     let out = f.require("out")?;
     let weights = parse_weights(f.get("weights").unwrap_or("wc"))?;
     let mut rng = SmallRng::seed_from_u64(seed);
-
-    let (pairs, directed) = match kind {
-        "chung-lu" => {
-            let m: usize = f.get_or("m", n * 5)?;
-            let gamma: f64 = f.get_or("gamma", 2.1)?;
-            (chung_lu_directed(n, m, gamma, &mut rng), true)
-        }
-        "er" => {
-            let m: usize = f.get_or("m", n * 5)?;
-            (erdos_renyi(n, m, &mut rng), true)
-        }
-        "ba" => {
-            let attach: usize = f.get_or("attach", 4)?;
-            (barabasi_albert(n, attach, &mut rng), false)
-        }
-        "ws" => {
-            let k: usize = f.get_or("k", 6)?;
-            let beta: f64 = f.get_or("beta", 0.1)?;
-            (watts_strogatz(n, k, beta, &mut rng), false)
-        }
-        other => {
-            return Err(format!(
-                "unknown generator '{other}' (chung-lu | ba | er | ws)"
-            ))
-        }
-    };
-    let g = assemble(n, &pairs, directed, weights, &mut rng).map_err(|e| e.to_string())?;
+    let (pairs, directed) = spec
+        .generate(&mut rng)
+        .map_err(|e| format!("--{}: {}", e.param, e.message))?;
+    let g = assemble(spec.n, &pairs, directed, weights, &mut rng).map_err(|e| e.to_string())?;
     save_graph(&g, out)?;
     println!("wrote {out}: {} nodes, {} directed edges", g.n(), g.m());
     Ok(())

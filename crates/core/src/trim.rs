@@ -44,7 +44,8 @@ pub struct TrimOutput {
     /// `Λˡ(v*)/Λᵘ(v◦)` at termination — the per-round certificate; ≥ 1 − ε̂
     /// unless the iteration budget (or an explicit cap) exhausted first.
     pub certificate: f64,
-    /// Total edges examined while sampling (EPT accounting).
+    /// Total in-edge slots read while sampling (EPT accounting; see
+    /// [`GenStats::edges_examined`](smin_sampling::GenStats)).
     pub edges_examined: usize,
 }
 

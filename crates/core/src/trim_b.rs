@@ -35,7 +35,8 @@ pub struct TrimBOutput {
     pub est_truncated_spread: f64,
     /// `Λˡ(S_b)/Λᵘ(S_b◦)` at termination (target `ρ_b(1 − ε̂)`).
     pub certificate: f64,
-    /// Total edges examined while sampling.
+    /// Total in-edge slots read while sampling (EPT accounting; see
+    /// [`GenStats::edges_examined`](smin_sampling::GenStats)).
     pub edges_examined: usize,
 }
 

@@ -34,13 +34,23 @@ pub(crate) fn build_workers(m: usize) -> usize {
     t.min(8)
 }
 
-/// Reverse adjacency of a [`Graph`], stored interleaved: one
-/// `(source, forward edge id, probability)` record per reverse slot, so a
-/// reverse traversal touches a single cache line per edge.
+/// Reverse adjacency of a [`Graph`], stored as parallel columns indexed by
+/// reverse slot: source ids, forward edge ids and probabilities. On a node
+/// whose in-edges share one probability the RR samplers read only the
+/// 4-byte `src` column, a quarter of an interleaved `(src, eid, p)` record
+/// array: 1 MB instead of 4 MB at 250k edges, which fits a core's L2.
 #[derive(Clone, Debug)]
 struct RevCsr {
     off: Vec<usize>,
-    adj: Vec<(NodeId, u32, f64)>,
+    src: Vec<NodeId>,
+    eid: Vec<u32>,
+    prob: Vec<f64>,
+    /// Per node: the probability `p` every in-edge carries, when they all
+    /// carry the bit-identical `p` (weighted cascade, uniform weights) and
+    /// `1 − p ∈ [0, 1)`; NaN when the in-probabilities differ, `p` is out of
+    /// range or too small for `1 − p` to fall below 1, or there are no
+    /// in-edges.
+    uniform_p: Vec<f64>,
 }
 
 /// A directed probabilistic graph in compressed-sparse-row form.
@@ -86,8 +96,16 @@ impl Graph {
     /// The reverse CSR, built on first use.
     #[inline]
     fn rev(&self) -> &RevCsr {
-        self.rev
-            .get_or_init(|| build_reverse(self.n, &self.fwd_off, &self.fwd_dst, &self.fwd_prob))
+        self.rev.get_or_init(|| {
+            let workers = build_workers(self.m());
+            build_reverse(
+                self.n,
+                &self.fwd_off,
+                &self.fwd_dst,
+                &self.fwd_prob,
+                workers,
+            )
+        })
     }
 
     /// Raw forward-CSR columns `(offsets, targets, probabilities)` for the
@@ -151,9 +169,24 @@ impl Graph {
     pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64, u32)> + '_ {
         let v = v as usize;
         let rev = self.rev();
-        rev.adj[rev.off[v]..rev.off[v + 1]]
+        let r = rev.off[v]..rev.off[v + 1];
+        rev.src[r.clone()]
             .iter()
-            .map(|&(u, e, p)| (u, p, e))
+            .zip(&rev.prob[r.clone()])
+            .zip(&rev.eid[r])
+            .map(|((&u, &p), &e)| (u, p, e))
+    }
+
+    /// When every in-edge of `v` carries the same probability `p`, returns
+    /// `(p, sources)` with the sources in [`in_edges`](Self::in_edges)
+    /// order; `None` when the in-probabilities differ, `p` is out of range
+    /// or too small for `1 − p` to fall below 1, or `v` has no in-edges.
+    #[inline]
+    pub fn in_sources_uniform(&self, v: NodeId) -> Option<(f64, &[NodeId])> {
+        let v = v as usize;
+        let rev = self.rev();
+        let p = rev.uniform_p[v];
+        (!p.is_nan()).then(|| (p, &rev.src[rev.off[v]..rev.off[v + 1]]))
     }
 
     /// Probability attached to forward edge index `e`.
@@ -214,18 +247,26 @@ impl Graph {
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.fwd_off.len() * size_of::<usize>() * 2
+            + self.n * size_of::<f64>()
             + self.fwd_dst.len()
                 * (size_of::<NodeId>() * 2 + size_of::<f64>() * 2 + size_of::<u32>())
     }
 }
 
 /// Builds the reverse CSR from forward columns: a counting pass, a prefix
-/// sum, then the scatter. Above [`MIN_PARALLEL_EDGES`] the target-id space is
-/// split into contiguous ranges of roughly equal in-edge mass and each worker
-/// scatters only its own range into its own disjoint slice of the record
-/// array — slot positions are a pure function of the input, so the result is
-/// bit-identical for every worker count.
-fn build_reverse(n: usize, fwd_off: &[usize], fwd_dst: &[NodeId], fwd_prob: &[f64]) -> RevCsr {
+/// sum, then [`RevRange::fill`]. With several `workers` (see
+/// [`build_workers`]) the target-id space is split into contiguous ranges of
+/// roughly equal in-edge mass and each worker fills only its own range into
+/// its own disjoint slices of the columns — slot positions are a pure
+/// function of the input, so the result is bit-identical for every worker
+/// count.
+fn build_reverse(
+    n: usize,
+    fwd_off: &[usize],
+    fwd_dst: &[NodeId],
+    fwd_prob: &[f64],
+    workers: usize,
+) -> RevCsr {
     let m = fwd_dst.len();
     let mut off = vec![0usize; n + 1];
     for &v in fwd_dst {
@@ -234,52 +275,121 @@ fn build_reverse(n: usize, fwd_off: &[usize], fwd_dst: &[NodeId], fwd_prob: &[f6
     for i in 0..n {
         off[i + 1] += off[i];
     }
-    let mut adj: Vec<(NodeId, u32, f64)> = vec![(0, 0, 0.0); m];
-    let workers = build_workers(m);
+    let mut rev = RevCsr {
+        src: vec![0; m],
+        eid: vec![0; m],
+        prob: vec![0.0; m],
+        uniform_p: vec![0.0; n],
+        off,
+    };
+    let fwd = (fwd_off, fwd_dst, fwd_prob);
+    let off = &rev.off;
+    let mut all = RevRange {
+        vlo: 0,
+        src: &mut rev.src,
+        eid: &mut rev.eid,
+        prob: &mut rev.prob,
+        uniform_p: &mut rev.uniform_p,
+    };
     if workers <= 1 {
-        scatter_reverse(0, n, fwd_off, fwd_dst, fwd_prob, &off, &mut adj);
+        all.fill(fwd, off);
     } else {
-        let bounds = balance_bounds(&off, workers);
+        let bounds = balance_bounds(off, workers);
         std::thread::scope(|scope| {
-            let mut rest: &mut [(NodeId, u32, f64)] = &mut adj;
             for w in 0..workers {
-                let (vlo, vhi) = (bounds[w], bounds[w + 1]);
-                let (mine, tail) = rest.split_at_mut(off[vhi] - off[vlo]);
-                rest = tail;
-                let off = &off;
-                scope.spawn(move || {
-                    scatter_reverse(vlo, vhi, fwd_off, fwd_dst, fwd_prob, off, mine);
-                });
+                let (mine, rest) = all.split_at(bounds[w + 1], off);
+                all = rest;
+                scope.spawn(move || mine.fill(fwd, off));
             }
         });
     }
-    RevCsr { off, adj }
+    rev
 }
 
-/// Scatters every forward edge whose target falls in `[vlo, vhi)` into `out`,
-/// which covers reverse slots `[rev_off[vlo], rev_off[vhi])`. Slot positions
-/// depend only on the input arrays (forward order within each target), so
-/// concurrent workers on disjoint ranges reproduce the sequential result.
-fn scatter_reverse(
+/// The reverse-CSR columns of the target nodes
+/// `[vlo, vlo + uniform_p.len())`:
+/// their slots `[off[vlo], off[vlo] + src.len())` of the edge columns and
+/// their entries of the per-node column.
+struct RevRange<'a> {
     vlo: usize,
-    vhi: usize,
-    fwd_off: &[usize],
-    fwd_dst: &[NodeId],
-    fwd_prob: &[f64],
-    rev_off: &[usize],
-    out: &mut [(NodeId, u32, f64)],
-) {
-    let base = rev_off[vlo];
-    let mut cursor: Vec<usize> = rev_off[vlo..vhi].to_vec();
-    let n = fwd_off.len() - 1;
-    for u in 0..n {
-        for e in fwd_off[u]..fwd_off[u + 1] {
-            let v = fwd_dst[e] as usize;
-            if (vlo..vhi).contains(&v) {
-                let slot = cursor[v - vlo];
-                cursor[v - vlo] += 1;
-                out[slot - base] = (u as NodeId, u32_of(e), fwd_prob[e]);
+    src: &'a mut [NodeId],
+    eid: &'a mut [u32],
+    prob: &'a mut [f64],
+    uniform_p: &'a mut [f64],
+}
+
+impl<'a> RevRange<'a> {
+    /// Splits off the nodes below `vmid`, which must lie in this range.
+    fn split_at(self, vmid: usize, off: &[usize]) -> (Self, Self) {
+        let k = off[vmid] - off[self.vlo];
+        let (src, src_tail) = self.src.split_at_mut(k);
+        let (eid, eid_tail) = self.eid.split_at_mut(k);
+        let (prob, prob_tail) = self.prob.split_at_mut(k);
+        let (uniform_p, uniform_p_tail) = self.uniform_p.split_at_mut(vmid - self.vlo);
+        (
+            RevRange {
+                vlo: self.vlo,
+                src,
+                eid,
+                prob,
+                uniform_p,
+            },
+            RevRange {
+                vlo: vmid,
+                src: src_tail,
+                eid: eid_tail,
+                prob: prob_tail,
+                uniform_p: uniform_p_tail,
+            },
+        )
+    }
+
+    /// Fills this range in three passes:
+    ///
+    /// 1. scatter every forward edge whose target falls in the range into its
+    ///    slot, in forward order within each target (so slot positions
+    ///    depend only on the input), packing `(source, edge id)` into the
+    ///    slot's 8-byte `prob` cell — one random write per edge;
+    /// 2. walk the slots in order, unpacking into `src` / `eid` and
+    ///    gathering each edge's probability;
+    /// 3. walk the nodes in order, deriving each node's uniform `p`.
+    fn fill(self, (fwd_off, fwd_dst, fwd_prob): (&[usize], &[NodeId], &[f64]), off: &[usize]) {
+        let vhi = self.vlo + self.uniform_p.len();
+        let base = off[self.vlo];
+        let mut cursor: Vec<usize> = off[self.vlo..vhi].iter().map(|&o| o - base).collect();
+        for u in 0..fwd_off.len() - 1 {
+            let hi = u64::from(u32_of(u)) << 32;
+            let r = fwd_off[u]..fwd_off[u + 1];
+            for (e, &v) in r.clone().zip(&fwd_dst[r]) {
+                let v = v as usize;
+                if (self.vlo..vhi).contains(&v) {
+                    let slot = cursor[v - self.vlo];
+                    cursor[v - self.vlo] += 1;
+                    self.prob[slot] = f64::from_bits(hi | u64::from(u32_of(e)));
+                }
             }
+        }
+        let slots = self.prob.iter_mut().zip(self.src.iter_mut());
+        for ((p, u), e) in slots.zip(self.eid.iter_mut()) {
+            let packed = p.to_bits();
+            *u = (packed >> 32) as NodeId;
+            // smin-lint: allow(checked-cast) -- takes the low half of the word packed above
+            *e = packed as u32;
+            *p = fwd_prob[*e as usize];
+        }
+        let mut start = 0;
+        for (up, &end) in self.uniform_p.iter_mut().zip(&off[self.vlo + 1..=vhi]) {
+            let ps = &self.prob[start..end - base];
+            start = end - base;
+            *up = match ps {
+                [p, rest @ ..]
+                    if (0.0..1.0).contains(&(1.0 - p))
+                        && rest.iter().all(|r| r.to_bits() == p.to_bits()) =>
+                {
+                    *p
+                }
+                _ => f64::NAN,
+            };
         }
     }
 }
@@ -348,6 +458,60 @@ mod tests {
                     "edge ({u},{v}) id {e} missing from forward adjacency"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn uniform_in_probability_is_reported_per_node() {
+        // 3: in-edges 1.0 and 0.75 (mixed); 1: one 0.5 edge; 0: none.
+        let g = diamond();
+        assert!(g.in_sources_uniform(3).is_none());
+        assert!(g.in_sources_uniform(0).is_none());
+        let (p, src) = g.in_sources_uniform(1).unwrap();
+        assert_eq!(p, 0.5);
+        assert_eq!(src, &[0]);
+        // 1 − 1e-17 rounds to 1: no skip distribution, so the coin flips.
+        assert!(g
+            .map_probabilities(|_, _, _| 1e-17)
+            .in_sources_uniform(1)
+            .is_none());
+        let g = g.map_probabilities(|_, _, _| 1.0);
+        let (p, src) = g.in_sources_uniform(3).unwrap();
+        assert_eq!(p, 1.0);
+        let in3: Vec<_> = g.in_edges(3).map(|(u, _, _)| u).collect();
+        assert_eq!(src, &in3[..]);
+    }
+
+    #[test]
+    fn reverse_build_is_bit_identical_for_any_worker_count() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut b = GraphBuilder::new(200);
+        for _ in 0..1_500 {
+            let (u, v) = (rng.random_range(0..200u32), rng.random_range(0..200u32));
+            if u != v {
+                // Two probabilities, so uniform and mixed nodes both occur.
+                let _ = b.add_edge_p(u, v, if u % 7 == 0 { 0.5 } else { 0.25 });
+            }
+        }
+        let g = b.build().unwrap();
+        let bits = |r: &super::RevCsr| {
+            let f = |x: &[f64]| x.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            (
+                r.off.clone(),
+                r.src.clone(),
+                r.eid.clone(),
+                f(&r.prob),
+                f(&r.uniform_p),
+            )
+        };
+        let (off, dst, prob) = g.csr_columns();
+        let one = bits(&super::build_reverse(g.n(), off, dst, prob, 1));
+        assert!(one.4.iter().any(|&q| f64::from_bits(q).is_nan()));
+        assert!(one.4.iter().any(|&q| !f64::from_bits(q).is_nan()));
+        for workers in [2, 3, 8] {
+            let many = bits(&super::build_reverse(g.n(), off, dst, prob, workers));
+            assert!(one == many, "{workers} workers diverged");
         }
     }
 

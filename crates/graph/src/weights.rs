@@ -23,6 +23,29 @@ pub enum WeightModel {
     Trivalency,
 }
 
+/// Parses the `wc | uniform:P | tri` spelling the CLI and the service
+/// accept; `P` must lie in `(0, 1]`.
+impl std::str::FromStr for WeightModel {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        match spec {
+            "wc" => Ok(WeightModel::WeightedCascade),
+            "tri" => Ok(WeightModel::Trivalency),
+            other => match other.strip_prefix("uniform:") {
+                Some(p) => match p.parse::<f64>() {
+                    Ok(p) if p > 0.0 && p <= 1.0 => Ok(WeightModel::Uniform(p)),
+                    Ok(p) => Err(format!("uniform probability must be in (0, 1], got {p}")),
+                    Err(e) => Err(format!("bad uniform probability: {e}")),
+                },
+                None => Err(format!(
+                    "unknown weight model '{other}' (wc | uniform:P | tri)"
+                )),
+            },
+        }
+    }
+}
+
 /// Returns a copy of `g` with probabilities reassigned according to `model`.
 ///
 /// `rng` is only consulted by [`WeightModel::Trivalency`]; the other models

@@ -103,7 +103,8 @@ pub struct MrrSampler {
     reverse: ReverseSampler,
     draw: DistinctDraw,
     roots_buf: Vec<NodeId>,
-    /// Total edges examined across all samples (EPT accounting, Lemma 3.8).
+    /// Total in-edge slots read across all samples (EPT accounting, Lemma
+    /// 3.8); see [`ReverseSampler::sample_into`](crate::ReverseSampler::sample_into).
     pub edges_examined: usize,
     /// Total sets sampled.
     pub sets_sampled: usize,

@@ -139,7 +139,9 @@ struct SketchChunk {
 pub struct GenStats {
     /// Sets appended to the pool.
     pub sets_generated: usize,
-    /// Total edges examined across all sets (EPT accounting, Lemma 3.8).
+    /// Total in-edge slots the sampler read across all sets (EPT
+    /// accounting, Lemma 3.8): alive in-edges of coin-flipped nodes,
+    /// skip-drawn live edges with an alive source, scanned LT in-edges.
     pub edges_examined: usize,
 }
 

@@ -35,9 +35,7 @@ use rand::SeedableRng;
 use serde_json::{json, Value};
 use smin_core::{asti_in, AstiParams, AstiSession};
 use smin_diffusion::{Model, Realization, RealizationOracle};
-use smin_graph::generators::{
-    assemble, barabasi_albert, erdos_renyi, try_chung_lu_directed, watts_strogatz,
-};
+use smin_graph::generators::{assemble, GeneratorSpec};
 use smin_graph::{io, store, Graph, WeightModel};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -321,116 +319,31 @@ fn entry_value(e: &GraphEntry) -> Value {
     })
 }
 
-fn parse_weights(spec: &str) -> Result<WeightModel, ServiceError> {
-    match spec {
-        "wc" => Ok(WeightModel::WeightedCascade),
-        "tri" => Ok(WeightModel::Trivalency),
-        other => match other.strip_prefix("uniform:") {
-            Some(p) => match p.parse::<f64>() {
-                Ok(p) if p > 0.0 && p <= 1.0 => Ok(WeightModel::Uniform(p)),
-                Ok(p) => Err(ServiceError::bad_request(format!(
-                    "uniform probability must be in (0, 1], got {p}"
-                ))),
-                Err(e) => Err(ServiceError::bad_request(format!(
-                    "bad uniform probability: {e}"
-                ))),
-            },
-            None => Err(ServiceError::bad_request(format!(
-                "unknown weight model '{other}' (wc | uniform:P | tri)"
-            ))),
-        },
-    }
-}
-
 /// Generates a graph from a `"generate"` spec object.
 fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
-    // The generators assert their preconditions; a request body that broke
-    // one would panic the dispatch worker, so every one is checked here
-    // first and answered with a 400.
-    fn check(ok: bool, message: impl Into<String>) -> Result<(), ServiceError> {
-        if ok {
-            Ok(())
-        } else {
-            Err(ServiceError::bad_request(message))
-        }
-    }
-    let kind = json::req_str(spec, "kind")?;
-    let n = json::req_usize(spec, "n")?;
-    check(n >= 1, "generator needs n >= 1")?;
-    check(
-        u32::try_from(n).is_ok(),
-        format!("generator needs n <= {} (node ids are 32-bit)", u32::MAX),
-    )?;
+    // `GeneratorSpec::generate` checks every generator precondition, so a
+    // body that broke one is a 400, never a panicked dispatch worker.
+    let gen = GeneratorSpec {
+        kind: json::req_str(spec, "kind")?,
+        n: json::req_usize(spec, "n")?,
+        m: json::opt_usize(spec, "m")?,
+        gamma: json::opt_f64(spec, "gamma")?,
+        attach: json::opt_usize(spec, "attach")?,
+        k: json::opt_usize(spec, "k")?,
+        beta: json::opt_f64(spec, "beta")?,
+    };
     let seed = json::opt_u64(spec, "seed")?.unwrap_or(42);
-    let weights = parse_weights(&json::opt_str(spec, "weights")?.unwrap_or_else(|| "wc".into()))?;
-    // `m` for the two edge-count generators: default 5n, at least two
-    // nodes, and no more distinct directed edges than n(n-1).
-    let edge_count = || -> Result<usize, ServiceError> {
-        let m = match json::opt_usize(spec, "m")? {
-            Some(m) => m,
-            None => n.checked_mul(5).ok_or_else(|| {
-                ServiceError::bad_request(format!("default m = 5n overflows for n = {n}"))
-            })?,
-        };
-        check(n >= 2, format!("generator '{kind}' needs n >= 2"))?;
-        let max_edges = (n as u128) * (n as u128 - 1);
-        check(
-            (m as u128) <= max_edges,
-            format!("cannot place {m} distinct directed edges on {n} nodes"),
-        )?;
-        Ok(m)
-    };
+    let weights: WeightModel = json::opt_str(spec, "weights")?
+        .as_deref()
+        .unwrap_or("wc")
+        .parse()
+        .map_err(ServiceError::bad_request)?;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let (pairs, directed) = match kind.as_str() {
-        "chung-lu" => {
-            let m = edge_count()?;
-            let gamma = json::opt_f64(spec, "gamma")?.unwrap_or(2.1);
-            check(
-                gamma > 1.0,
-                format!("chung-lu needs gamma > 1, got {gamma}"),
-            )?;
-            let pairs = try_chung_lu_directed(n, m, gamma, &mut rng).ok_or_else(|| {
-                ServiceError::bad_request(format!(
-                    "chung-lu stalled placing {m} distinct edges on {n} nodes; lower m or raise gamma"
-                ))
-            })?;
-            (pairs, true)
-        }
-        "er" => {
-            let m = edge_count()?;
-            (erdos_renyi(n, m, &mut rng), true)
-        }
-        "ba" => {
-            let attach = json::opt_usize(spec, "attach")?.unwrap_or(4);
-            check(attach >= 1, "ba needs attach >= 1")?;
-            check(
-                n > attach,
-                format!("ba needs more nodes ({n}) than attachments per node ({attach})"),
-            )?;
-            (barabasi_albert(n, attach, &mut rng), false)
-        }
-        "ws" => {
-            let k = json::opt_usize(spec, "k")?.unwrap_or(6);
-            let beta = json::opt_f64(spec, "beta")?.unwrap_or(0.1);
-            check(
-                k >= 2 && k.is_multiple_of(2),
-                format!("ws needs an even k >= 2, got {k}"),
-            )?;
-            check(n > k, format!("ws needs n > k, got n = {n}, k = {k}"))?;
-            check(
-                (0.0..=1.0).contains(&beta),
-                format!("ws needs beta in [0, 1], got {beta}"),
-            )?;
-            (watts_strogatz(n, k, beta, &mut rng), false)
-        }
-        other => {
-            return Err(ServiceError::bad_request(format!(
-                "unknown generator '{other}' (chung-lu | ba | er | ws)"
-            )))
-        }
-    };
-    let g = assemble(n, &pairs, directed, weights, &mut rng)?;
-    Ok((g, format!("generated:{kind}")))
+    let (pairs, directed) = gen
+        .generate(&mut rng)
+        .map_err(|e| ServiceError::bad_request(e.message))?;
+    let g = assemble(gen.n, &pairs, directed, weights, &mut rng)?;
+    Ok((g, format!("generated:{}", gen.kind)))
 }
 
 /// Resolves a `"path"` load under the configured graphs dir, rejecting

@@ -73,11 +73,12 @@ fn pool_digest(pool: &SketchPool) -> u64 {
     h
 }
 
-/// Golden regression: selections and pool contents captured from the
-/// pre-arena (`Vec<Vec<u32>>` inverted index) implementation. The columnar
-/// refactor must be bit-identical on every thread count — if a layout or
-/// tie-breaking change trips this test, it changed observable behavior, not
-/// just performance.
+/// Golden regression: selections and pool contents, bit-identical on every
+/// thread count — if a layout or tie-breaking change trips this test, it
+/// changed observable behavior, not just performance. Pinned from the
+/// pre-arena (`Vec<Vec<u32>>` inverted index) implementation, then re-pinned
+/// once when IC sampling switched to geometric live-edge skipping (a new RNG
+/// stream with the same distribution).
 #[test]
 fn selections_match_pre_refactor_goldens() {
     let (g, residual) = thread_fixture();
@@ -96,9 +97,9 @@ fn selections_match_pre_refactor_goldens() {
         )
         .unwrap();
         assert_eq!(out.node, 399, "trim selection drifted at {threads} threads");
-        assert_eq!(out.coverage, 581);
+        assert_eq!(out.coverage, 543);
         assert_eq!(out.sets_generated, 864);
-        assert_eq!(pool_digest(scratch.pool()), 0x4c12033beb864a01);
+        assert_eq!(pool_digest(scratch.pool()), 0x12d6e6ed0b758e04);
 
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xB47C);
@@ -113,10 +114,10 @@ fn selections_match_pre_refactor_goldens() {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(out.seeds, vec![399, 212, 521, 546], "trim_b batch drifted");
-        assert_eq!(out.coverage, 788);
+        assert_eq!(out.seeds, vec![399, 212, 546, 521], "trim_b batch drifted");
+        assert_eq!(out.coverage, 777);
         assert_eq!(out.sets_generated, 828);
-        assert_eq!(pool_digest(scratch.pool()), 0xa57c3c3e46341392);
+        assert_eq!(pool_digest(scratch.pool()), 0x0a0aaf193f0b18e1);
     }
 
     let (_, seeds, activated) = run_once(0xA571);
